@@ -123,7 +123,7 @@ class CachedMerkleStore:
             if node.is_root:
                 continue
             entry = self.mirror.entries.get(node)
-            if entry is not None and entry.children_cached == 0:
+            if entry is not None and entry.evictable:
                 self._evict(node)
 
     # ------------------------------------------------------------------

@@ -368,8 +368,7 @@ class FastVer:
         """
         for vid, mirror in enumerate(self.mirrors):
             while True:
-                victims = [e for e in mirror.entries.values()
-                           if e.via != VIA_PINNED and e.children_cached == 0]
+                victims = [e for e in mirror.entries.values() if e.evictable]
                 if not victims:
                     break
                 for victim in victims:
@@ -1360,8 +1359,7 @@ class FastVer:
         # Recompute merkle parent links for cached merkle records so LRU
         # evictions pick the right mode again.
         for vid, mirror in enumerate(self.mirrors):
-            for key in list(mirror.entries):
-                entry = mirror.entries[key]
+            for key, entry in mirror.entries.items():
                 if key.is_root or key in self.anchors:
                     continue
                 if not isinstance(entry.value, MerkleValue) and \
@@ -1369,26 +1367,28 @@ class FastVer:
                     continue
                 parent = self._find_cached_parent(mirror, key)
                 if parent is not None:
-                    entry.via = VIA_MERKLE
-                    entry.parent_key = parent
-                    mirror.entries[parent].children_cached += 1
+                    mirror.adopt_merkle_parent(key, parent)
         self.logs = [VerificationLog(self.enclave, i, cfg.log_capacity)
                      for i in range(cfg.n_workers)]
         self.ops_since_close = 0
 
     @staticmethod
     def _find_cached_parent(mirror: VerifierMirror, key: BitKey) -> BitKey | None:
-        """The cached ancestor whose pointer targets ``key``, if any."""
-        best = None
-        for candidate, entry in mirror.entries.items():
-            if not isinstance(entry.value, MerkleValue):
-                continue
-            if not candidate.is_proper_ancestor_of(key):
+        """The cached ancestor whose pointer targets ``key``, if any.
+
+        The tree parent is unique and a proper prefix of ``key``, so probing
+        the prefixes costs at most ``key.length`` dict hits per entry.
+        """
+        entries = mirror.entries
+        for length in range(key.length - 1, -1, -1):
+            candidate = key.prefix(length)
+            entry = entries.get(candidate)
+            if entry is None or not isinstance(entry.value, MerkleValue):
                 continue
             ptr = entry.value.pointer(key.direction_from(candidate))
             if ptr is not None and ptr.key == key:
-                best = candidate
-        return best
+                return candidate
+        return None
 
     # ==================================================================
     # Verified record-level repair (repro.scrub)

@@ -8,7 +8,7 @@ mirrors the cache contents to navigate the tree and write evicted records
 back to the store.
 
 :class:`VerifierMirror` is that shadow for one verifier thread. It also
-carries the host's cache *policy* metadata — LRU ticks, parent links, and
+carries the host's cache *policy* metadata — LRU order, parent links, and
 cached-children counts — which the verifier itself never needs: the policy
 only exists so the host evicts records in an order that keeps every
 eviction executable (a Merkle evict needs the parent still cached).
@@ -17,6 +17,7 @@ eviction executable (a Merkle evict needs the parent still cached).
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 from repro.core.keys import BitKey
 from repro.core.records import Value, encode_value
@@ -46,17 +47,22 @@ class ShadowEntry:
     """Host's view of one verifier-cached record."""
 
     __slots__ = ("key", "value", "via", "parent_key", "children_cached",
-                 "tick", "slot")
+                 "slot")
 
     def __init__(self, key: BitKey, value: Value, via: str,
-                 parent_key: BitKey | None, tick: int, slot: int):
+                 parent_key: BitKey | None, slot: int):
         self.key = key
         self.value = value
         self.via = via
         self.parent_key = parent_key
         self.children_cached = 0
-        self.tick = tick
         self.slot = slot
+
+    @property
+    def evictable(self) -> bool:
+        """Not pinned, and no cached Merkle child: a child's own Merkle
+        evict needs this entry still cached, so parents go after children."""
+        return self.via != VIA_PINNED and not self.children_cached
 
 
 class VerifierMirror:
@@ -66,8 +72,12 @@ class VerifierMirror:
         self.verifier_id = verifier_id
         self.capacity = capacity
         self.clock = 0
+        # Insertion-ordered: flush, audit and recovery iterate it and their
+        # order reaches the log stream, so recency lives in ``_lru`` instead.
         self.entries: dict[BitKey, ShadowEntry] = {}
-        self._tick = 0
+        # The same entries, least recently used first: ``add`` appends and
+        # ``touch`` moves to the tail, so no eviction ever sorts.
+        self._lru: OrderedDict[BitKey, ShadowEntry] = OrderedDict()
         # Replica of the verifier cache's slot freelist (same arithmetic as
         # VerifierCache, so predicted slots match the enclave's).
         self._free_slots: list[int] = list(range(capacity - 1, -1, -1))
@@ -89,10 +99,6 @@ class VerifierMirror:
     # ------------------------------------------------------------------
     # Shadow cache maintenance
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
-
     def __contains__(self, key: BitKey) -> bool:
         return key in self.entries
 
@@ -111,7 +117,7 @@ class VerifierMirror:
 
     def touch(self, key: BitKey) -> ShadowEntry:
         entry = self.get(key)
-        entry.tick = self._next_tick()
+        self._lru.move_to_end(key)
         return entry
 
     def add(self, key: BitKey, value: Value, via: str,
@@ -120,20 +126,23 @@ class VerifierMirror:
             raise ProtocolError(f"shadow double-add of {key!r}")
         if len(self.entries) >= self.capacity:
             raise ProtocolError(f"shadow cache {self.verifier_id} overflow")
-        slot = self._free_slots.pop()
-        entry = ShadowEntry(key, value, via, parent_key, self._next_tick(), slot)
-        self.entries[key] = entry
         if via == VIA_MERKLE and parent_key is not None:
             self.get(parent_key).children_cached += 1
+        entry = ShadowEntry(key, value, via, parent_key, self._free_slots.pop())
+        self.entries[key] = entry
+        self._lru[key] = entry
         return entry
 
     def remove(self, key: BitKey) -> ShadowEntry:
-        entry = self.entries.pop(key, None)
+        # Validate, then mutate: a rejected call must leave ``entries`` (and
+        # so flush/audit iteration order) exactly as it found it.
+        entry = self.entries.get(key)
         if entry is None:
             raise ProtocolError(f"shadow evict of absent {key!r}")
         if entry.children_cached:
-            self.entries[key] = entry
             raise ProtocolError(f"shadow evict of {key!r} with cached children")
+        del self.entries[key]
+        del self._lru[key]
         if entry.via == VIA_MERKLE and entry.parent_key is not None:
             parent = self.entries.get(entry.parent_key)
             if parent is not None:
@@ -152,27 +161,36 @@ class VerifierMirror:
         entry.parent_key = new_parent
         self.get(new_parent).children_cached += 1
 
+    def adopt_merkle_parent(self, key: BitKey, parent_key: BitKey) -> None:
+        """Relink a cached entry as the Merkle-added child of ``parent_key``.
+
+        Recovery re-adds every dumped cache entry without policy metadata;
+        this restores the link so the entry evicts back to Merkle protection
+        and its parent stays cached until it has.
+        """
+        parent = self.get(parent_key)
+        entry = self.get(key)
+        entry.via = VIA_MERKLE
+        entry.parent_key = parent_key
+        parent.children_cached += 1
+
     def victims(self, locked: set[BitKey], need: int) -> list[ShadowEntry]:
         """Pick up to ``need`` evictable entries in LRU order.
 
-        Evictable: not pinned, not locked by the in-flight operation, and
-        no cached Merkle children (so a Merkle evict stays executable).
+        Exact LRU over the entries that are :attr:`~ShadowEntry.evictable`
+        and not locked by the in-flight operation. The walk from the cold
+        end passes only non-evictable heads — chain parents still waiting
+        on a child, the pinned root — a handful per call.
         """
         if need <= 0:
             return []
-        order = sorted(self.entries.values(), key=lambda e: e.tick)
         out: list[ShadowEntry] = []
-        for entry in order:
-            if len(out) >= need:
-                break
-            if entry.via == VIA_PINNED or entry.key in locked:
-                continue
-            if entry.children_cached:
-                continue
-            out.append(entry)
-        if len(out) < need:
-            raise ProtocolError(
-                f"cache {self.verifier_id} cannot free {need} slots "
-                f"(capacity {self.capacity} too small for the working chain)"
-            )
-        return out
+        for entry in self._lru.values():
+            if entry.evictable and entry.key not in locked:
+                out.append(entry)
+                if len(out) == need:
+                    return out
+        raise ProtocolError(
+            f"cache {self.verifier_id} cannot free {need} slots "
+            f"(capacity {self.capacity} too small for the working chain)"
+        )

@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.cache import VerifierCache
 from repro.core.hostmirror import (
@@ -156,6 +163,194 @@ class TestVerifierMirror:
         assert mirror.get(bk("001")).parent_key == bk("00")
         assert mirror.get(bk("00")).children_cached == 1
         assert mirror.get(bk("0")).children_cached == 1
+
+    def test_rejected_remove_has_no_side_effect(self):
+        """A refused evict must not reorder ``entries`` (flush / audit
+        iterate it and their order reaches the log) nor the victim order."""
+        mirror = VerifierMirror(0, 8)
+        mirror.add(bk("0"), MerkleValue(), VIA_DEFERRED)
+        mirror.add(bk("01"), MerkleValue(), VIA_MERKLE, bk("0"))
+        mirror.add(dk(1), DataValue(b"a"), VIA_DEFERRED)
+        before = list(mirror.entries)
+        with pytest.raises(ProtocolError):
+            mirror.remove(bk("0"))
+        with pytest.raises(ProtocolError):
+            mirror.remove(dk(9))  # absent
+        assert list(mirror.entries) == before
+        assert mirror.free == 5
+        mirror.remove(bk("01"))
+        assert [e.key for e in mirror.victims(set(), 2)] == [bk("0"), dk(1)]
+
+    def test_rejected_add_has_no_side_effect(self):
+        mirror = VerifierMirror(0, 8)
+        with pytest.raises(ProtocolError):
+            mirror.add(bk("01"), MerkleValue(), VIA_MERKLE, bk("0"))
+        assert len(mirror) == 0 and mirror.free == 8
+
+    def test_adopt_merkle_parent(self):
+        mirror = VerifierMirror(0, 8)
+        mirror.add(bk("0"), MerkleValue(), VIA_DEFERRED)
+        mirror.add(bk("01"), MerkleValue(), VIA_DEFERRED)
+        mirror.adopt_merkle_parent(bk("01"), bk("0"))
+        child = mirror.get(bk("01"))
+        assert (child.via, child.parent_key) == (VIA_MERKLE, bk("0"))
+        assert not mirror.get(bk("0")).evictable
+        assert [e.key for e in mirror.victims(set(), 1)] == [bk("01")]
+        with pytest.raises(ProtocolError):
+            mirror.adopt_merkle_parent(bk("01"), bk("1"))  # parent absent
+
+    def test_touches_without_evictions_keep_the_index_bounded(self):
+        """The ``warm_zipf_b`` shape: a cache that never evicts is touched
+        forever; recency state must stay O(capacity)."""
+        mirror = VerifierMirror(0, 16)
+        for i in range(16):
+            mirror.add(dk(i), DataValue(b"x"), VIA_DEFERRED)
+        for i in range(10_000):
+            mirror.touch(dk((i * 7) % 16))
+        assert len(mirror._lru) == len(mirror.entries) <= mirror.capacity
+        # 10_000 = 625 full cycles of the 16 keys, so the cycle order stands.
+        assert [e.key for e in mirror.victims(set(), 16)] == \
+            [dk((i * 7) % 16) for i in range(16)]
+
+
+def reference_victims(mirror, ticks, locked, need):
+    """The policy as first written — sort every entry by its last add/touch
+    tick, then skip pinned / locked / has-cached-children — kept here as
+    the oracle for the mirror's recency index."""
+    if need <= 0:
+        return []
+    out = []
+    for entry in sorted(mirror.entries.values(), key=lambda e: ticks[e.key]):
+        if len(out) >= need:
+            break
+        if entry.via == VIA_PINNED or entry.key in locked:
+            continue
+        if entry.children_cached:
+            continue
+        out.append(entry)
+    if len(out) < need:
+        raise ProtocolError("cannot free")
+    return out
+
+
+KEY_POOL = [bk(format(i, f"0{n}b")) for n in range(1, 5) for i in range(1 << n)]
+
+
+class MirrorMachine(RuleBasedStateMachine):
+    """add / touch / remove / reparent / victims against the reference."""
+
+    CAPACITY = 10
+
+    def __init__(self):
+        super().__init__()
+        self.mirror = VerifierMirror(0, self.CAPACITY)
+        self.ticks: dict[BitKey, int] = {}   # the model's own recency clock
+        self.order: list[BitKey] = []        # expected ``entries`` order
+        self.clock = 0
+        self._stamp(self.mirror.add(BitKey.root(), MerkleValue(), VIA_PINNED))
+
+    def _stamp(self, entry):
+        self.clock += 1
+        self.ticks[entry.key] = self.clock
+        if entry.key not in self.order:
+            self.order.append(entry.key)
+
+    def _cached(self, index):
+        return self.order[index % len(self.order)]
+
+    @rule(key=st.sampled_from(KEY_POOL),
+          via=st.sampled_from([VIA_MERKLE, VIA_DEFERRED, VIA_PINNED]),
+          parent=st.one_of(st.none(), st.integers(0, 99),
+                           st.sampled_from(KEY_POOL)))
+    def add(self, key, via, parent):
+        parent_key = parent
+        if isinstance(parent, int):
+            parent_key = self._cached(parent) if self.order else None
+        ok = (key not in self.mirror and self.mirror.free > 0
+              and (via != VIA_MERKLE or parent_key is None
+                   or parent_key in self.mirror))
+        if ok:
+            self._stamp(self.mirror.add(key, DataValue(b"v"), via, parent_key))
+        else:
+            with pytest.raises(ProtocolError):
+                self.mirror.add(key, DataValue(b"v"), via, parent_key)
+
+    @precondition(lambda self: self.order)
+    @rule(index=st.integers(0, 99))
+    def touch(self, index):
+        self._stamp(self.mirror.touch(self._cached(index)))
+
+    @rule(key=st.sampled_from(KEY_POOL))
+    def touch_any(self, key):
+        if key in self.mirror:
+            self._stamp(self.mirror.touch(key))
+        else:
+            with pytest.raises(ProtocolError):
+                self.mirror.touch(key)
+
+    @precondition(lambda self: self.order)
+    @rule(index=st.integers(0, 99))
+    def remove(self, index):
+        key = self._cached(index)
+        if self.mirror.get(key).children_cached:
+            with pytest.raises(ProtocolError):
+                self.mirror.remove(key)
+        else:
+            self.mirror.remove(key)
+            self.order.remove(key)
+            del self.ticks[key]
+
+    @precondition(lambda self: len(self.order) > 1)
+    @rule(child=st.integers(0, 99), parent=st.integers(0, 99))
+    def reparent(self, child, parent):
+        child, parent = self._cached(child), self._cached(parent)
+        if child != parent:
+            self.mirror.reparent(child, parent)
+
+    @rule(locked=st.sets(st.sampled_from(KEY_POOL), max_size=6),
+          need=st.integers(0, 4))
+    def victims(self, locked, need):
+        try:
+            expected = reference_victims(self.mirror, self.ticks, locked, need)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                self.mirror.victims(locked, need)
+            return
+        got = self.mirror.victims(locked, need)
+        assert [e.key for e in got] == [e.key for e in expected]
+
+    @rule(locked=st.sets(st.sampled_from(KEY_POOL), max_size=3))
+    def make_room(self, locked):
+        """What ``_make_room`` does: evict the LRU victim, if there is one."""
+        try:
+            expected = reference_victims(self.mirror, self.ticks, locked, 1)
+        except ProtocolError:
+            return
+        victim = self.mirror.victims(locked, 1)[0]
+        assert victim.key == expected[0].key
+        self.mirror.remove(victim.key)
+        self.order.remove(victim.key)
+        del self.ticks[victim.key]
+
+    @invariant()
+    def audit(self):
+        mirror = self.mirror
+        assert list(mirror.entries) == self.order
+        assert mirror.free == self.CAPACITY - len(self.order)
+        assert list(mirror._lru) == sorted(self.order, key=self.ticks.get)
+        counts: dict[BitKey, int] = {}
+        for entry in mirror.entries.values():
+            if entry.via == VIA_MERKLE and entry.parent_key is not None:
+                counts[entry.parent_key] = counts.get(entry.parent_key, 0) + 1
+        for key, entry in mirror.entries.items():
+            assert entry.children_cached == counts.get(key, 0)
+            assert entry.evictable == (entry.via != VIA_PINNED
+                                       and counts.get(key, 0) == 0)
+
+
+TestMirrorMachine = MirrorMachine.TestCase
+TestMirrorMachine.settings = settings(max_examples=60,
+                                      stateful_step_count=50, deadline=None)
 
 
 # ---------------------------------------------------------------------------

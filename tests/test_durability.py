@@ -52,6 +52,32 @@ class TestCheckpointRecovery:
         db.verify()
         db.flush()
 
+    def test_recovered_parent_links_match_a_full_cache_scan(self):
+        """Recovery relinks cached Merkle records by probing key prefixes;
+        the answer must be the one a scan of the whole cache gives."""
+        from repro.core.audit import audit
+        from repro.core.records import MerkleValue
+
+        def scan(mirror, key):
+            best = None
+            for candidate, entry in mirror.entries.items():
+                if (isinstance(entry.value, MerkleValue)
+                        and candidate.is_proper_ancestor_of(key)):
+                    ptr = entry.value.pointer(key.direction_from(candidate))
+                    if ptr is not None and ptr.key == key:
+                        best = candidate
+            return best
+
+        db, client, ckpt = checkpointed_db()
+        db.recover(ckpt)
+        linked = 0
+        for mirror in db.mirrors:
+            for key, entry in mirror.entries.items():
+                assert db._find_cached_parent(mirror, key) == scan(mirror, key)
+                linked += entry.via == "merkle"
+        assert linked > 0
+        assert audit(db).ok
+
     def test_work_after_checkpoint_is_lost_not_corrupted(self):
         """Updates past the checkpoint vanish at recovery (prefix
         semantics) but the recovered state is still verifiable."""

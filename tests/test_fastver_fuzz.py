@@ -21,11 +21,11 @@ op_strategy = st.one_of(
 )
 
 
-def build(n_records=40, n_workers=2):
+def build(n_records=40, n_workers=2, key_width=16, cache_capacity=48):
     COUNTERS.reset()
     db = FastVer(
-        FastVerConfig(key_width=16, n_workers=n_workers, cache_capacity=48,
-                      partition_depth=3),
+        FastVerConfig(key_width=key_width, n_workers=n_workers,
+                      cache_capacity=cache_capacity, partition_depth=3),
         items=[(k, b"v%d" % k) for k in range(n_records)],
     )
     client = new_client(1)
@@ -34,12 +34,19 @@ def build(n_records=40, n_workers=2):
 
 
 class TestHonestSchedules:
+    # (200, 8, 16): the smallest cache the config admits under a tree whose
+    # per-worker share is several times larger, so the eviction policy
+    # picks a victim on nearly every op.
+    @pytest.mark.parametrize("n_records,key_width,cache_capacity",
+                             [(40, 16, 48), (200, 8, 16)])
     @given(st.lists(op_strategy, max_size=80))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_model_and_always_settles(self, schedule):
-        db, client = build()
-        model = {k: b"v%d" % k for k in range(40)}
+    def test_matches_model_and_always_settles(self, n_records, key_width,
+                                              cache_capacity, schedule):
+        db, client = build(n_records=n_records, key_width=key_width,
+                           cache_capacity=cache_capacity)
+        model = {k: b"v%d" % k for k in range(n_records)}
         worker = 0
         for op in schedule:
             worker = (worker + 1) % 2
