@@ -26,6 +26,9 @@ from typing import Iterator
 KEY_BITS = 256
 
 
+_set = object.__setattr__
+
+
 @total_ordering
 class BitKey:
     """An immutable bit-string key: a node in the binary key tree.
@@ -42,11 +45,17 @@ class BitKey:
             raise ValueError(f"key length must be >= 0, got {length}")
         if bits < 0 or (length < bits.bit_length()):
             raise ValueError(f"bits 0x{bits:x} do not fit in {length} bits")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
+        _set(self, "length", length)
+        _set(self, "bits", bits)
+        # Keys are dict keys everywhere hot (store index, mirrors, caches,
+        # owner maps) and nearly every key built is hashed at least once.
+        _set(self, "_hash", hash((length, bits)))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("BitKey is immutable")
+
+    def __reduce__(self):  # pickle/deepcopy rebuild through __init__
+        return (BitKey, (self.length, self.bits))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -128,7 +137,8 @@ class BitKey:
 
     def is_proper_ancestor_of(self, other: "BitKey") -> bool:
         """True iff ``self`` is a strict prefix of ``other``."""
-        return self.length < other.length and self.is_ancestor_of(other)
+        shift = other.length - self.length
+        return shift > 0 and (other.bits >> shift) == self.bits
 
     def direction_from(self, ancestor: "BitKey") -> int:
         """``dir(self, ancestor)``: 0/1 side on which ``self`` descends.
@@ -136,9 +146,10 @@ class BitKey:
         ``ancestor`` must be a proper ancestor; the result is the bit of
         ``self`` at depth ``len(ancestor)``, e.g. ``dir(1011, 1) == 0``.
         """
-        if not ancestor.is_proper_ancestor_of(self):
+        shift = self.length - ancestor.length
+        if shift <= 0 or (self.bits >> shift) != ancestor.bits:
             raise ValueError(f"{ancestor!r} is not a proper ancestor of {self!r}")
-        return self.bit(ancestor.length)
+        return (self.bits >> (shift - 1)) & 1
 
     def lca(self, other: "BitKey") -> "BitKey":
         """Least common ancestor: the longest common prefix of the two keys."""
@@ -165,9 +176,10 @@ class BitKey:
         Distinct keys get distinct encodings (the explicit length keeps
         ``"0"`` and ``"00"`` apart), which the crypto layer relies on.
         """
-        nbytes = (self.length + 7) // 8
-        padded = self.bits << (8 * nbytes - self.length)
-        return self.length.to_bytes(2, "big") + padded.to_bytes(nbytes, "big")
+        length = self.length
+        nbits = (length + 7) & ~7
+        return ((length << nbits) | (self.bits << (nbits - length))
+                ).to_bytes(2 + nbits // 8, "big")
 
     @classmethod
     def from_encoded(cls, data: bytes) -> "BitKey":
@@ -212,16 +224,7 @@ class BitKey:
         return self.length < other.length
 
     def __hash__(self) -> int:
-        # Keys are dict keys everywhere hot (store index, mirrors, caches,
-        # owner maps), so the tuple hash is computed once and memoized.
-        # The lazy slot keeps construction cheap for the many short-lived
-        # keys (parents, prefixes, LCAs) that are never hashed at all.
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.length, self.bits))
-            object.__setattr__(self, "_hash", value)
-            return value
+        return self._hash
 
     def __repr__(self) -> str:
         return f"BitKey('{self.to_bits_string()}')"
