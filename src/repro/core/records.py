@@ -125,13 +125,11 @@ class MerkleValue:
         return self.ptr0 is None and self.ptr1 is None
 
     def encode(self) -> bytes:
-        parts: list[bytes] = [b"MV"]
-        for ptr in (self.ptr0, self.ptr1):
-            if ptr is None:
-                parts.append(b"")
-            else:
-                parts.append(ptr.key.to_bytes() + ptr.hash)
-        return encode_fields(*parts)
+        ptr0, ptr1 = self.ptr0, self.ptr1
+        return encode_fields(
+            b"MV",
+            b"" if ptr0 is None else ptr0.key.to_bytes() + ptr0.hash,
+            b"" if ptr1 is None else ptr1.key.to_bytes() + ptr1.hash)
 
     def __eq__(self, other) -> bool:
         return (

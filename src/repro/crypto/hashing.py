@@ -30,11 +30,11 @@ def encode_fields(*parts: bytes) -> bytes:
     ``encode_fields(b"ab", b"c") != encode_fields(b"a", b"bc")`` — each part
     is prefixed with its 4-byte big-endian length.
     """
-    out = bytearray()
+    out: list[bytes] = []
     for part in parts:
-        out += len(part).to_bytes(4, "big")
-        out += part
-    return bytes(out)
+        out.append(len(part).to_bytes(4, "big"))
+        out.append(part)
+    return b"".join(out)
 
 
 def decode_fields(blob: bytes) -> list[bytes]:
