@@ -66,8 +66,18 @@ class TestConstruction:
 
     def test_immutable(self):
         key = bk("01")
-        with pytest.raises(AttributeError):
-            key.length = 5
+        for slot in BitKey.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(key, slot, 5)
+
+    def test_pickle_and_deepcopy_rebuild_an_equal_key(self):
+        import copy
+        import pickle
+        for key in (BitKey.root(), bk("01"), BitKey.data_key(2**200 + 7)):
+            for clone in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key),
+                          BitKey.from_encoded(key.to_bytes())):
+                assert clone == key and hash(clone) == hash(key)
+                assert {key: 1}[clone] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +207,24 @@ class TestProperties:
     @given(keys)
     def test_encode_roundtrip(self, key):
         assert BitKey.from_encoded(key.to_bytes()) == key
+
+    @given(keys)
+    def test_encoding_is_length_then_left_aligned_bits(self, key):
+        nbytes = (key.length + 7) // 8
+        padded = key.bits << (8 * nbytes - key.length)
+        assert key.to_bytes() == (key.length.to_bytes(2, "big")
+                                  + padded.to_bytes(nbytes, "big"))
+
+    @given(keys, keys)
+    def test_ancestry_matches_string_prefixes(self, a, b):
+        sa, sb = a.to_bits_string(), b.to_bits_string()
+        proper = len(sa) < len(sb) and sb.startswith(sa)
+        assert a.is_proper_ancestor_of(b) == proper
+        if proper:
+            assert b.direction_from(a) == int(sb[len(sa)]) == b.bit(a.length)
+        else:
+            with pytest.raises(ValueError):
+                b.direction_from(a)
 
     @given(keys, keys)
     def test_lca_is_common_ancestor(self, a, b):

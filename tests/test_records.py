@@ -88,6 +88,24 @@ class TestValueCodec:
                   MerkleValue(ptr0, None), MerkleValue(None, None)):
             assert decode_value(encode_value(v)) == v
 
+    def test_derived_values_never_reuse_their_source_encoding(self):
+        """``with_pointer`` / ``with_hash`` build new values; whatever an
+        encoding memo may hold for the source must not leak into them."""
+        ptr0 = Pointer(bk("0101"), b"\xab" * 32)
+        ptr1 = Pointer(bk("11"), b"\xcd" * 32)
+        source = MerkleValue(ptr0, ptr1)
+        before = encode_value(source)           # source now encoded once
+        rehashed = ptr1.with_hash(b"\xee" * 32)
+        for derived, fresh in (
+                (source.with_pointer(1, rehashed), MerkleValue(ptr0, rehashed)),
+                (source.with_pointer(0, None), MerkleValue(None, ptr1))):
+            assert encode_value(derived) == encode_value(fresh) != before
+            assert value_hash(derived) == value_hash(fresh) != value_hash(source)
+            assert decode_value(encode_value(derived)) == derived == fresh
+        assert encode_value(source) == before   # and the source is untouched
+        assert decode_value(encode_value(source)) == source
+        assert (ptr1.key, ptr1.hash) == (bk("11"), b"\xcd" * 32)
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             decode_value(b"ZZgarbage")
