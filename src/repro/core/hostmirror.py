@@ -116,7 +116,11 @@ class VerifierMirror:
         return entry
 
     def touch(self, key: BitKey) -> ShadowEntry:
-        entry = self.get(key)
+        # Hot on the bypass paths too (every cached-record op lands here),
+        # so no inner method call: a touch is two dict probes.
+        entry = self.entries.get(key)
+        if entry is None:
+            raise ProtocolError(f"{key!r} not in shadow cache {self.verifier_id}")
         self._lru.move_to_end(key)
         return entry
 
@@ -155,11 +159,12 @@ class VerifierMirror:
         entry = self.entries.get(key)
         if entry is None or entry.via != VIA_MERKLE:
             return
+        adopter = self.get(new_parent)
         old_parent = self.entries.get(entry.parent_key) if entry.parent_key else None
         if old_parent is not None:
             old_parent.children_cached -= 1
         entry.parent_key = new_parent
-        self.get(new_parent).children_cached += 1
+        adopter.children_cached += 1
 
     def adopt_merkle_parent(self, key: BitKey, parent_key: BitKey) -> None:
         """Relink a cached entry as the Merkle-added child of ``parent_key``.
