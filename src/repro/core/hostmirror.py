@@ -76,7 +76,7 @@ class VerifierMirror:
         # order reaches the log stream, so recency lives in ``_lru`` instead.
         self.entries: dict[BitKey, ShadowEntry] = {}
         # The same entries, least recently used first: ``add`` appends and
-        # ``touch`` moves to the tail, so no eviction ever sorts.
+        # ``touch`` moves to the tail, which is all the upkeep LRU needs.
         self._lru: OrderedDict[BitKey, ShadowEntry] = OrderedDict()
         # Replica of the verifier cache's slot freelist (same arithmetic as
         # VerifierCache, so predicted slots match the enclave's).
@@ -180,7 +180,7 @@ class VerifierMirror:
         parent.children_cached += 1
 
     def victims(self, locked: set[BitKey], need: int) -> list[ShadowEntry]:
-        """Pick up to ``need`` evictable entries in LRU order.
+        """The ``need`` least recently used evictable entries, LRU first.
 
         Exact LRU over the entries that are :attr:`~ShadowEntry.evictable`
         and not locked by the in-flight operation. The walk from the cold
