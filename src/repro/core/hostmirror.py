@@ -117,11 +117,12 @@ class VerifierMirror:
 
     def touch(self, key: BitKey) -> ShadowEntry:
         # Hot on the bypass paths too (every cached-record op lands here),
-        # so no inner method call: a touch is two dict probes.
+        # so no inner method call, and the second probe goes by the stored
+        # key object: an identity hit skips ``BitKey.__eq__``.
         entry = self.entries.get(key)
         if entry is None:
             raise ProtocolError(f"{key!r} not in shadow cache {self.verifier_id}")
-        self._lru.move_to_end(key)
+        self._lru.move_to_end(entry.key)
         return entry
 
     def add(self, key: BitKey, value: Value, via: str,
@@ -145,8 +146,8 @@ class VerifierMirror:
             raise ProtocolError(f"shadow evict of absent {key!r}")
         if entry.children_cached:
             raise ProtocolError(f"shadow evict of {key!r} with cached children")
-        del self.entries[key]
-        del self._lru[key]
+        del self.entries[entry.key]
+        del self._lru[entry.key]
         if entry.via == VIA_MERKLE and entry.parent_key is not None:
             parent = self.entries.get(entry.parent_key)
             if parent is not None:
