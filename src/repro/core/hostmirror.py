@@ -17,7 +17,7 @@ eviction executable (a Merkle evict needs the parent still cached).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+from heapq import heapify, heappop, heappush, heapreplace
 
 from repro.core.keys import BitKey
 from repro.core.records import Value, encode_value
@@ -44,10 +44,14 @@ def host_value_hash(value: Value) -> bytes:
 
 
 class ShadowEntry:
-    """Host's view of one verifier-cached record."""
+    """Host's view of one verifier-cached record.
+
+    ``tick`` stamps the last add/touch (0 once evicted); ``queued`` says the
+    mirror's eviction heap holds a record for this entry.
+    """
 
     __slots__ = ("key", "value", "via", "parent_key", "children_cached",
-                 "slot")
+                 "slot", "tick", "queued")
 
     def __init__(self, key: BitKey, value: Value, via: str,
                  parent_key: BitKey | None, slot: int):
@@ -57,6 +61,8 @@ class ShadowEntry:
         self.parent_key = parent_key
         self.children_cached = 0
         self.slot = slot
+        self.tick = 0
+        self.queued = False
 
     @property
     def evictable(self) -> bool:
@@ -73,11 +79,16 @@ class VerifierMirror:
         self.capacity = capacity
         self.clock = 0
         # Insertion-ordered: flush, audit and recovery iterate it and their
-        # order reaches the log stream, so recency lives in ``_lru`` instead.
+        # order reaches the log stream, so recency lives beside it.
         self.entries: dict[BitKey, ShadowEntry] = {}
-        # The same entries, least recently used first: ``add`` appends and
-        # ``touch`` moves to the tail, which is all the upkeep LRU needs.
-        self._lru: OrderedDict[BitKey, ShadowEntry] = OrderedDict()
+        # Eviction-policy index: a min-heap of (tick when queued, entry).
+        # ``touch`` only restamps ``entry.tick``, so the paths that never
+        # evict pay nothing for ordering; a record whose tick went stale is
+        # requeued or dropped when it surfaces in ``victims``. At most one
+        # record per entry, and every evictable entry has one. Ticks are
+        # unique, so tuple comparison never reaches the entries.
+        self._tick = 0
+        self._heap: list[tuple[int, ShadowEntry]] = []
         # Replica of the verifier cache's slot freelist (same arithmetic as
         # VerifierCache, so predicted slots match the enclave's).
         self._free_slots: list[int] = list(range(capacity - 1, -1, -1))
@@ -116,14 +127,27 @@ class VerifierMirror:
         return entry
 
     def touch(self, key: BitKey) -> ShadowEntry:
-        # Hot on the bypass paths too (every cached-record op lands here),
-        # so no inner method call, and the second probe goes by the stored
-        # key object: an identity hit skips ``BitKey.__eq__``.
         entry = self.entries.get(key)
         if entry is None:
             raise ProtocolError(f"{key!r} not in shadow cache {self.verifier_id}")
-        self._lru.move_to_end(entry.key)
+        self._tick = entry.tick = self._tick + 1
         return entry
+
+    def _queue(self, entry: ShadowEntry) -> None:
+        entry.queued = True
+        heap = self._heap
+        heappush(heap, (entry.tick, entry))
+        if len(heap) > 2 * self.capacity:
+            # Evicted entries leave their record behind until it surfaces;
+            # a cache that adds and evicts without ever asking for victims
+            # would grow the heap without bound.
+            heap[:] = [(e.tick, e) for e in self.entries.values() if e.queued]
+            heapify(heap)
+
+    def _release_child(self, parent: ShadowEntry) -> None:
+        parent.children_cached -= 1
+        if parent.evictable and not parent.queued:
+            self._queue(parent)
 
     def add(self, key: BitKey, value: Value, via: str,
             parent_key: BitKey | None = None) -> ShadowEntry:
@@ -134,8 +158,10 @@ class VerifierMirror:
         if via == VIA_MERKLE and parent_key is not None:
             self.get(parent_key).children_cached += 1
         entry = ShadowEntry(key, value, via, parent_key, self._free_slots.pop())
+        self._tick = entry.tick = self._tick + 1
         self.entries[key] = entry
-        self._lru[key] = entry
+        if via != VIA_PINNED:
+            self._queue(entry)
         return entry
 
     def remove(self, key: BitKey) -> ShadowEntry:
@@ -146,12 +172,12 @@ class VerifierMirror:
             raise ProtocolError(f"shadow evict of absent {key!r}")
         if entry.children_cached:
             raise ProtocolError(f"shadow evict of {key!r} with cached children")
-        del self.entries[entry.key]
-        del self._lru[entry.key]
+        del self.entries[key]
+        entry.tick = 0
         if entry.via == VIA_MERKLE and entry.parent_key is not None:
             parent = self.entries.get(entry.parent_key)
             if parent is not None:
-                parent.children_cached -= 1
+                self._release_child(parent)
         self._free_slots.append(entry.slot)
         return entry
 
@@ -163,7 +189,7 @@ class VerifierMirror:
         adopter = self.get(new_parent)
         old_parent = self.entries.get(entry.parent_key) if entry.parent_key else None
         if old_parent is not None:
-            old_parent.children_cached -= 1
+            self._release_child(old_parent)
         entry.parent_key = new_parent
         adopter.children_cached += 1
 
@@ -184,19 +210,36 @@ class VerifierMirror:
         """The ``need`` least recently used evictable entries, LRU first.
 
         Exact LRU over the entries that are :attr:`~ShadowEntry.evictable`
-        and not locked by the in-flight operation. The walk from the cold
-        end passes only non-evictable heads — chain parents still waiting
-        on a child, the pinned root — a handful per call.
+        and not locked by the in-flight operation. A record's tick never
+        exceeds its entry's, so once the heap's top record is current it is
+        the oldest of all; stale tops are settled on the way.
         """
         if need <= 0:
             return []
+        heap = self._heap
         out: list[ShadowEntry] = []
-        for entry in self._lru.values():
-            if entry.evictable and entry.key not in locked:
+        passed = []
+        while heap:
+            tick, entry = heap[0]
+            if entry.tick != tick or entry.children_cached:
+                if entry.tick and not entry.children_cached:
+                    heapreplace(heap, (entry.tick, entry))  # touched since
+                else:
+                    # Evicted, or a parent now: ``_release_child`` queues it
+                    # again when its last child leaves.
+                    heappop(heap)
+                    entry.queued = False
+                continue
+            if entry.key not in locked:
                 out.append(entry)
                 if len(out) == need:
-                    return out
-        raise ProtocolError(
-            f"cache {self.verifier_id} cannot free {need} slots "
-            f"(capacity {self.capacity} too small for the working chain)"
-        )
+                    break
+            passed.append(heappop(heap))
+        for record in passed:
+            heappush(heap, record)
+        if len(out) < need:
+            raise ProtocolError(
+                f"cache {self.verifier_id} cannot free {need} slots "
+                f"(capacity {self.capacity} too small for the working chain)"
+            )
+        return out

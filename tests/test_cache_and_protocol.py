@@ -207,10 +207,21 @@ class TestVerifierMirror:
             mirror.add(dk(i), DataValue(b"x"), VIA_DEFERRED)
         for i in range(10_000):
             mirror.touch(dk((i * 7) % 16))
-        assert len(mirror._lru) == len(mirror.entries) <= mirror.capacity
+        assert len(mirror._heap) <= 2 * mirror.capacity
         # 10_000 = 625 full cycles of the 16 keys, so the cycle order stands.
         assert [e.key for e in mirror.victims(set(), 16)] == \
             [dk((i * 7) % 16) for i in range(16)]
+
+    def test_add_evict_cycles_without_victims_keep_the_index_bounded(self):
+        """The per-op leaf of a store that fits its caches: added, then
+        evicted by key, and nobody ever asks for a victim."""
+        mirror = VerifierMirror(0, 8)
+        mirror.add(dk(0), DataValue(b"x"), VIA_DEFERRED)
+        for i in range(1, 5_000):
+            mirror.add(dk(i % 200 + 1), DataValue(b"x"), VIA_DEFERRED)
+            mirror.remove(dk(i % 200 + 1))
+            assert len(mirror._heap) <= 2 * mirror.capacity
+        assert [e.key for e in mirror.victims(set(), 1)] == [dk(0)]
 
 
 def reference_victims(mirror, ticks, locked, need):
@@ -337,7 +348,10 @@ class MirrorMachine(RuleBasedStateMachine):
         mirror = self.mirror
         assert list(mirror.entries) == self.order
         assert mirror.free == self.CAPACITY - len(self.order)
-        assert list(mirror._lru) == sorted(self.order, key=self.ticks.get)
+        assert len(mirror._heap) <= 2 * self.CAPACITY
+        records: dict[int, list[int]] = {}
+        for tick, entry in mirror._heap:
+            records.setdefault(id(entry), []).append(tick)
         counts: dict[BitKey, int] = {}
         for entry in mirror.entries.values():
             if entry.via == VIA_MERKLE and entry.parent_key is not None:
@@ -346,6 +360,12 @@ class MirrorMachine(RuleBasedStateMachine):
             assert entry.children_cached == counts.get(key, 0)
             assert entry.evictable == (entry.via != VIA_PINNED
                                        and counts.get(key, 0) == 0)
+            # The index: one record per queued entry, never newer than the
+            # entry's own tick, and nothing evictable is missing from it.
+            mine = records.get(id(entry), [])
+            assert len(mine) == (1 if entry.queued else 0)
+            assert all(tick <= entry.tick for tick in mine)
+            assert entry.queued or not entry.evictable
 
 
 TestMirrorMachine = MirrorMachine.TestCase
