@@ -127,9 +127,7 @@ class VerifierMirror:
         return entry
 
     def touch(self, key: BitKey) -> ShadowEntry:
-        entry = self.entries.get(key)
-        if entry is None:
-            raise ProtocolError(f"{key!r} not in shadow cache {self.verifier_id}")
+        entry = self.get(key)
         self._tick = entry.tick = self._tick + 1
         return entry
 

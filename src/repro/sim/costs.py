@@ -49,8 +49,8 @@ class CostModel:
     # log response instead of recomputing it (same OS thread, §7); our
     # driver recomputes only because its log responses are consumed lazily.
     # The counters still record the events for diagnostics.
-    # The mirror's eviction *policy* (repro.core.hostmirror: the recency
-    # list, victim choice) has no term here at all — the paper keeps it off
+    # The mirror's eviction *policy* (repro.core.hostmirror: LRU ticks,
+    # the victim heap) has no term here at all — the paper keeps it off
     # the critical path, so the model prices it at zero. Its real cost is
     # measured, not modeled: bench_native's core.hostmirror.* ledger rows
     # and model_gap.host_mirror (EXPERIMENTS.md, "native hot-path pass").
