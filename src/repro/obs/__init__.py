@@ -22,11 +22,11 @@ Two optional stages turn the instruments into a pipeline:
   multi-window burn-rate alerts, armed per-server via
   ``ServerConfig.slo`` and surfaced in ``health()["slo"]``.
 
-Tracing is designed to be free under the performance methodology:
-modeled time derives *only* from ``repro.instrument.COUNTERS``, and the
-observability layer never bumps a counter, so modeled throughput with
-tracing on equals tracing off (pinned by tests/test_obs.py and the
-``tracing_overhead`` section of ``BENCH_batching.json``).
+Tracing is free *in modeled time*: modeled time derives only from
+``repro.instrument.COUNTERS`` and this layer never bumps a counter, so
+modeled throughput is the same on or off (pinned by tests/test_obs.py
+and ``tracing_overhead`` in ``BENCH_batching.json``). In wall-clock time
+it is not; docs/OBSERVABILITY.md "Overhead" has the measured cost.
 
 This package must not import server/core modules at top level (the
 core imports *us*); ``repro.obs.runner`` — the measured-run driver for

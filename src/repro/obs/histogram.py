@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -85,6 +86,12 @@ class LogHistogram:
     max_value: float = 0.0
     #: bucket index -> count (sparse; see :func:`_bucket_index`).
     buckets: dict[int, int] = field(default_factory=dict)
+    #: The keys of ``buckets`` in ascending order, kept as buckets come
+    #: into use so that no read has to sort.
+    _order: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._order = sorted(self.buckets)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -112,14 +119,22 @@ class LogHistogram:
     def observe(self, value: float) -> None:
         if value < 0:
             value = 0.0
+        self._add(value, self._bucket_index(value))
+
+    def _add(self, value: float, idx: int) -> None:
+        """Record a non-negative ``value`` whose bucket is ``idx``."""
         self.count += 1
         self.total += value
         if value < self.min_value:
             self.min_value = value
         if value > self.max_value:
             self.max_value = value
-        idx = self._bucket_index(value)
-        self.buckets[idx] = self.buckets.get(idx, 0) + 1
+        buckets = self.buckets
+        if idx in buckets:
+            buckets[idx] += 1
+        else:
+            buckets[idx] = 1
+            insort(self._order, idx)
 
     def merge(self, other: "LogHistogram") -> None:
         """Accumulate another histogram (same unit) into this one."""
@@ -132,6 +147,7 @@ class LogHistogram:
         self.max_value = max(self.max_value, other.max_value)
         for idx, n in other.buckets.items():
             self.buckets[idx] = self.buckets.get(idx, 0) + n
+        self._order = sorted(self.buckets)
 
     # ------------------------------------------------------------------
     @property
@@ -140,14 +156,21 @@ class LogHistogram:
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` (0..100): the upper edge of the
-        bucket holding that rank, clamped to the exact observed max."""
-        if self.count == 0:
+        bucket holding that rank, clamped to the exact observed max.
+        That bucket is the first, in index order, whose cumulative count
+        reaches ``rank`` — or, walking down from the top, the first to
+        reach ``count - rank + 1``; the walk takes the nearer end."""
+        count = self.count
+        if count == 0:
             return 0.0
-        rank = max(1, math.ceil(self.count * p / 100.0))
-        cum = 0
-        for idx in sorted(self.buckets):
-            cum += self.buckets[idx]
-            if cum >= rank:
+        rank = max(1, math.ceil(count * p / 100.0))
+        if rank * 2 <= count:
+            order, need = self._order, rank
+        else:
+            order, need = reversed(self._order), count - rank + 1
+        for idx in order:
+            need -= self.buckets[idx]
+            if need <= 0:
                 return min(self._bucket_upper(idx), self.max_value)
         return self.max_value
 
@@ -172,7 +195,7 @@ class LogHistogram:
         out = self.summary()
         cum = 0
         series = []
-        for idx in sorted(self.buckets):
+        for idx in self._order:
             cum += self.buckets[idx]
             series.append([round(self._bucket_upper(idx), 4), cum])
         out["buckets"] = series
@@ -187,6 +210,27 @@ UNITS = {
     "ecall_service": "modeled_ns",   # modeled verifier time per crossing
     "verified_latency": "ticks",     # op submit -> epoch receipt settled
 }
+
+
+def _fresh(name: str) -> LogHistogram:
+    return LogHistogram(name, UNITS.get(name, "ticks"))
+
+
+class _Series:
+    """Everything :class:`LatencyRecorder` keeps for one name. ``hist``
+    (the cumulative histogram: having one is what lists a name in
+    exports) exists once the name is observed or asked for with ``get``,
+    ``window`` once it is observed, peeked or taken."""
+
+    __slots__ = ("hist", "window", "resets", "at", "outliers", "baseline")
+
+    def __init__(self):
+        self.hist: LogHistogram | None = None
+        self.window: LogHistogram | None = None
+        self.resets = 0  # times the window has been reset-on-read
+        self.at = 0      # observations so far (an exemplar's ``at``)
+        self.outliers: deque[Exemplar] = deque(maxlen=EXEMPLAR_OUTLIERS)
+        self.baseline: deque[Exemplar] = deque(maxlen=EXEMPLAR_BASELINE)
 
 
 class LatencyRecorder:
@@ -210,13 +254,13 @@ class LatencyRecorder:
 
     def __init__(self):
         self.enabled = True
-        self._hists: dict[str, LogHistogram] = {}
-        self._windows: dict[str, LogHistogram] = {}
-        self._window_resets: dict[str, int] = {}
-        #: name -> total traced+untraced observations (the ``at`` index).
-        self._observations: dict[str, int] = {}
-        self._outliers: dict[str, deque[Exemplar]] = {}
-        self._baseline: dict[str, deque[Exemplar]] = {}
+        self._series: dict[str, _Series] = {}
+
+    def _of(self, name: str) -> _Series:
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = _Series()
+        return series
 
     def observe(self, name: str, value: float,
                 trace: str | None = None) -> None:
@@ -229,79 +273,68 @@ class LatencyRecorder:
         exceed it (a window's percentile clamps to its own max)."""
         if not self.enabled:
             return
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = LogHistogram(
-                name, UNITS.get(name, "ticks"))
-        window = self._windows.get(name)
-        if window is None:
-            window = self._windows[name] = LogHistogram(
-                name, UNITS.get(name, "ticks"))
-        at = self._observations.get(name, 0) + 1
-        self._observations[name] = at
+        series = self._series.get(name) or self._of(name)
+        hist = series.hist or self.get(name)
+        window = series.window or self.window(name)
+        at = series.at = series.at + 1
         if trace is not None:
+            # No percentile is below the minimum: most of a flat window's
+            # observations are settled without the walk.
             if (window.count >= EXEMPLAR_MIN_WINDOW
+                    and value > window.min_value
                     and value > window.percentile(EXEMPLAR_QUANTILE)):
-                self._keep(self._outliers, EXEMPLAR_OUTLIERS,
-                           Exemplar(name, trace, value, at, "outlier"))
+                series.outliers.append(
+                    Exemplar(name, trace, value, at, "outlier"))
             elif at % EXEMPLAR_EVERY == 0:
-                self._keep(self._baseline, EXEMPLAR_BASELINE,
-                           Exemplar(name, trace, value, at, "baseline"))
-        hist.observe(value)
-        window.observe(value)
-
-    @staticmethod
-    def _keep(store: dict[str, deque], cap: int, ex: Exemplar) -> None:
-        bucket = store.get(ex.name)
-        if bucket is None:
-            bucket = store[ex.name] = deque(maxlen=cap)
-        bucket.append(ex)
+                series.baseline.append(
+                    Exemplar(name, trace, value, at, "baseline"))
+        if value < 0:
+            value = 0.0
+        idx = hist._bucket_index(value)
+        hist._add(value, idx)
+        window._add(value, idx)
 
     def get(self, name: str) -> LogHistogram:
         """The named histogram (an empty one if nothing recorded yet)."""
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = LogHistogram(
-                name, UNITS.get(name, "ticks"))
-        return hist
+        series = self._of(name)
+        if series.hist is None:
+            series.hist = _fresh(name)
+        return series.hist
 
     def window(self, name: str) -> LogHistogram:
         """Peek at the named interval histogram (observations since the
         last :meth:`take_window`) without resetting it."""
-        window = self._windows.get(name)
-        if window is None:
-            window = self._windows[name] = LogHistogram(
-                name, UNITS.get(name, "ticks"))
-        return window
+        series = self._of(name)
+        if series.window is None:
+            series.window = _fresh(name)
+        return series.window
 
     def take_window(self, name: str) -> LogHistogram:
         """Reset-on-read: return the named interval histogram and start
         a fresh window. The cumulative histogram is untouched."""
         taken = self.window(name)
-        self._windows[name] = LogHistogram(name, UNITS.get(name, "ticks"))
-        self._window_resets[name] = self._window_resets.get(name, 0) + 1
+        series = self._series[name]
+        series.window = _fresh(name)
+        series.resets += 1
         return taken
 
     def window_meta(self) -> dict:
         """Per-histogram window metadata for ``health()``/exports:
         observations in the current (un-taken) window and how many times
         the window has been reset-on-read."""
-        names = sorted(set(self._windows) | set(self._window_resets))
-        return {name: {"window_count": self.window(name).count,
-                       "resets": self._window_resets.get(name, 0)}
-                for name in names}
+        return {name: {"window_count": series.window.count,
+                       "resets": series.resets}
+                for name, series in sorted(self._series.items())
+                if series.window is not None}
 
     # ------------------------------------------------------------------
     def exemplars(self, name: str | None = None) -> list[Exemplar]:
         """Retained exemplars (outliers then baseline, each oldest
         first), optionally for one histogram."""
-        names = [name] if name is not None else \
-            sorted(set(self._outliers) | set(self._baseline))
-        out: list[Exemplar] = []
-        for n in names:
-            out.extend(self._outliers.get(n, ()))
-            out.extend(self._baseline.get(n, ()))
-        return out
+        series = self._series
+        names = [name] if name is not None else sorted(series)
+        return [ex for n in names if n in series
+                for ex in (*series[n].outliers, *series[n].baseline)]
 
     def exemplar_digest(self) -> str:
         """Order-stable sha256 over the retained exemplar set. Exemplar
@@ -315,19 +348,15 @@ class LatencyRecorder:
         return h.hexdigest()
 
     def names(self) -> list[str]:
-        return sorted(self._hists)
+        return sorted(name for name, series in self._series.items()
+                      if series.hist is not None)
 
     def reset(self) -> None:
-        self._hists.clear()
-        self._windows.clear()
-        self._window_resets.clear()
-        self._observations.clear()
-        self._outliers.clear()
-        self._baseline.clear()
+        self._series.clear()
 
     def as_dict(self, full: bool = False) -> dict:
-        return {name: (self._hists[name].as_dict() if full
-                       else self._hists[name].summary())
+        return {name: (self._series[name].hist.as_dict() if full
+                       else self._series[name].hist.summary())
                 for name in self.names()}
 
 

@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import SpanQueries, TraceEvent
 
 #: Keys of the flattened event export that are *not* detail fields.
 _CORE_KEYS = ("seq", "ts", "kind", "trace")
@@ -47,47 +47,6 @@ def line_to_event(line: str) -> TraceEvent:
     detail = {k: v for k, v in raw.items() if k not in _CORE_KEYS}
     return TraceEvent(raw["seq"], raw["ts"], raw["kind"], raw["trace"],
                       detail)
-
-
-class SpanQueries:
-    """The ring's query surface, shared by every event source. Concrete
-    classes provide :meth:`_all_events` (oldest first)."""
-
-    def _all_events(self) -> list[TraceEvent]:  # pragma: no cover
-        raise NotImplementedError
-
-    def events(self, trace: str | None = None, kind: str | None = None,
-               last: int | None = None) -> list[TraceEvent]:
-        out = [e for e in self._all_events()
-               if (trace is None or e.trace == trace)
-               and (kind is None or e.kind == kind)]
-        if last is not None:
-            out = out[-last:]
-        return out
-
-    def last(self, n: int) -> list[TraceEvent]:
-        return self.events(last=n)
-
-    def lifecycle(self, trace: str) -> list[TraceEvent]:
-        return self.events(trace=trace)
-
-    def traces(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self._all_events():
-            if e.trace is not None and e.trace not in seen:
-                seen[e.trace] = None
-        return list(seen)
-
-    def find_lifecycle(self, kinds: set[str]) -> str | None:
-        by_trace: dict[str, set[str]] = {}
-        for e in self._all_events():
-            if e.trace is None:
-                continue
-            got = by_trace.setdefault(e.trace, set())
-            got.add(e.kind)
-            if kinds <= got:
-                return e.trace
-        return None
 
 
 @dataclass

@@ -69,11 +69,11 @@ retention window.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One typed lifecycle event. ``trace`` is None for run-scoped
     events (epoch closes, shipments, heals) that belong to no single
     request."""
@@ -89,7 +89,57 @@ class TraceEvent:
                 "trace": self.trace, **self.detail}
 
 
-class Tracer:
+class SpanQueries:
+    """The query surface shared by every event source: the ring, a live
+    spool, a cold spool reader. Concrete classes provide
+    :meth:`_all_events` (oldest first)."""
+
+    def _all_events(self) -> Iterable[TraceEvent]:  # pragma: no cover
+        raise NotImplementedError
+
+    def events(self, trace: str | None = None, kind: str | None = None,
+               last: int | None = None) -> list[TraceEvent]:
+        """Events the source holds, oldest first, optionally filtered by
+        trace id and/or kind, optionally only the last N (applied after
+        filtering; none for N <= 0)."""
+        out = [e for e in self._all_events()
+               if (trace is None or e.trace == trace)
+               and (kind is None or e.kind == kind)]
+        if last is not None:
+            out = out[-last:] if last > 0 else []
+        return out
+
+    def last(self, n: int) -> list[TraceEvent]:
+        return self.events(last=n)
+
+    def lifecycle(self, trace: str) -> list[TraceEvent]:
+        """The span of one request: its events in recorded order."""
+        return self.events(trace=trace)
+
+    def traces(self) -> list[str]:
+        """Distinct trace ids the source holds, in first-seen order."""
+        seen: dict[str, None] = {}
+        for e in self._all_events():
+            if e.trace is not None and e.trace not in seen:
+                seen[e.trace] = None
+        return list(seen)
+
+    def find_lifecycle(self, kinds: set[str]) -> str | None:
+        """First trace id whose events cover every kind in ``kinds`` —
+        how the chaos acceptance check locates a request that survived
+        a fence redirect end to end."""
+        by_trace: dict[str, set[str]] = {}
+        for e in self._all_events():
+            if e.trace is None:
+                continue
+            got = by_trace.setdefault(e.trace, set())
+            got.add(e.kind)
+            if kinds <= got:
+                return e.trace
+        return None
+
+
+class Tracer(SpanQueries):
     """Bounded ring buffer of :class:`TraceEvent`."""
 
     DEFAULT_CAPACITY = 4096
@@ -133,47 +183,8 @@ class Tracer:
         if self._sink is not None:
             self._sink.append(event)
 
-    # ------------------------------------------------------------------
-    def events(self, trace: str | None = None, kind: str | None = None,
-               last: int | None = None) -> list[TraceEvent]:
-        """Events currently in the ring, oldest first, optionally
-        filtered by trace id and/or kind, optionally only the last N
-        (applied after filtering)."""
-        out = [e for e in self._ring
-               if (trace is None or e.trace == trace)
-               and (kind is None or e.kind == kind)]
-        if last is not None:
-            out = out[-last:]
-        return out
-
-    def last(self, n: int) -> list[TraceEvent]:
-        return self.events(last=n)
-
-    def lifecycle(self, trace: str) -> list[TraceEvent]:
-        """The span of one request: its events in recorded order."""
-        return self.events(trace=trace)
-
-    def traces(self) -> list[str]:
-        """Distinct trace ids still in the ring, in first-seen order."""
-        seen: dict[str, None] = {}
-        for e in self._ring:
-            if e.trace is not None and e.trace not in seen:
-                seen[e.trace] = None
-        return list(seen)
-
-    def find_lifecycle(self, kinds: set[str]) -> str | None:
-        """First trace id whose events cover every kind in ``kinds`` —
-        how the chaos acceptance check locates a request that survived
-        a fence redirect end to end."""
-        by_trace: dict[str, set[str]] = {}
-        for e in self._ring:
-            if e.trace is None:
-                continue
-            got = by_trace.setdefault(e.trace, set())
-            got.add(e.kind)
-            if kinds <= got:
-                return e.trace
-        return None
+    def _all_events(self) -> Iterable[TraceEvent]:
+        return self._ring
 
     def reset(self) -> None:
         """Clear the ring (and detach any sink: a reset starts a new

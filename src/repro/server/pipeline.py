@@ -1314,9 +1314,9 @@ class FastVerServer:
         fenced the epochs): every pending completion's end-to-end
         verified latency — op submit to receipt — is now known."""
         settled = len(self._awaiting_epoch)
-        for _trace, submitted_at in self._awaiting_epoch:
-            LATENCIES.observe("verified_latency", self.now - submitted_at,
-                              trace=_trace)
+        now, observe = self.now, LATENCIES.observe
+        for trace, submitted_at in self._awaiting_epoch:
+            observe("verified_latency", now - submitted_at, trace)
         self._awaiting_epoch.clear()
         TRACER.record("epoch", self.now, None, epoch=epoch,
                       settled=settled, promoted=promoted)

@@ -10,14 +10,21 @@ admit → fence → retry → stage → flush → receipt across the failover.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.enclave.costmodel import SGX, SIMULATED
 from repro.instrument import Counters
 from repro.obs import TRACER, LatencyRecorder, Tracer, attribute_costs
-from repro.obs.histogram import SUBBUCKETS, LogHistogram
+from repro.obs.histogram import SUBBUCKETS, UNITS, LogHistogram
+from repro.obs.sink import (SpoolReader, TraceSpool, event_to_line,
+                            line_to_event)
+from repro.obs.trace import TraceEvent
 from repro.sim.costs import DEFAULT_COSTS
 
 
@@ -149,6 +156,115 @@ class TestWindowedViews:
         assert rec.window("w").count == 0
 
 
+def sort_and_scan_percentile(hist: LogHistogram, p: float) -> float:
+    """The reference ``percentile``: sort the bucket indexes, scan up to
+    the rank. ``LogHistogram`` walks a kept order from the nearer end
+    and must return this value bit for bit."""
+    if hist.count == 0:
+        return 0.0
+    rank = max(1, math.ceil(hist.count * p / 100.0))
+    cum = 0
+    for idx in sorted(hist.buckets):
+        cum += hist.buckets[idx]
+        if cum >= rank:
+            return min(hist._bucket_upper(idx), hist.max_value)
+    return hist.max_value
+
+
+_observed = st.one_of(
+    st.floats(-10.0, 1e7, allow_nan=False),
+    st.integers(0, 4096).map(float),  # bucket edges, repeated values
+    st.sampled_from([0.0, 1.0, 7.999999999999999, 8.0]))
+_recorder_ops = st.lists(st.one_of(
+    st.tuples(st.just("observe"), _observed),
+    st.tuples(st.just("take"), st.none())), max_size=200)
+
+
+#: What ``test_golden_stream`` gave at commit 7cd268c, before the
+#: recorder's hot path was touched.
+GOLDEN_EXEMPLARS = \
+    "4119702836a890ea7a17dae6b24f70dde570074592de5ef02d8df12b9fd57aec"
+GOLDEN_LATENCY = \
+    "fb0b9c2296fc4277689f5f75c73759054819ba03bc8cf3a9e60e2de0cc567e75"
+GOLDEN_EXPORT = \
+    "a3d8ca3e8c1a07de094b5f73e7de1f8d975fd8be6334759036a2819c360f1b18"
+
+
+class TestRecorderOutputIsPinned:
+    """What the recorder records is fixed; only its speed may change."""
+
+    @given(_recorder_ops,
+           st.lists(st.floats(0.0, 101.0, allow_nan=False), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_percentile_equals_sort_and_scan(self, ops, extra_p):
+        rec = LatencyRecorder()
+        merged = LogHistogram("w")  # every taken window, merged back
+        for op, value in ops:
+            if op == "observe":
+                rec.observe("w", value, trace="t")
+            else:
+                merged.merge(rec.take_window("w"))
+            for hist in (rec.get("w"), rec.window("w"), merged):
+                assert hist._order == sorted(hist.buckets)
+                for p in (0, 1, 50, 95, 99, 99.9, 100, *extra_p):
+                    assert hist.percentile(p) == \
+                        sort_and_scan_percentile(hist, p)
+        merged.merge(rec.window("w"))
+        assert merged.as_dict() == rec.get("w").as_dict()
+
+    def test_golden_stream(self):
+        """A seeded 20K-observation stream — all four names, traced and
+        not, negatives to 1e7, a window taken every 2,500 — reproduces
+        the exemplar choice at every checkpoint and the full export."""
+        rng = random.Random(20260928)
+        names = sorted(UNITS)
+        rec = LatencyRecorder()
+        exemplars = hashlib.sha256()
+        for i in range(1, 20_001):
+            name = names[rng.randrange(len(names))]
+            roll = rng.random()
+            if roll < 0.02:
+                value = -rng.uniform(0.0, 50.0)
+            elif roll < 0.10:
+                value = rng.random()
+            else:
+                value = 10.0 ** rng.uniform(0.0, 7.0)
+            if rng.random() < 0.5:
+                value = float(int(value))
+            trace = f"c{rng.randrange(8)}-{i}" if rng.random() < 0.7 else None
+            rec.observe(name, value, trace=trace)
+            if i % 2_500 == 0:
+                exemplars.update(rec.exemplar_digest().encode())
+                rec.take_window(names[(i // 2_500) % len(names)])
+        export = {"latency": rec.as_dict(full=True),
+                  "windows": rec.window_meta(),
+                  "open": {n: rec.window(n).as_dict() for n in names}}
+
+        def sha(obj) -> str:
+            return hashlib.sha256(
+                json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+        assert exemplars.hexdigest() == GOLDEN_EXEMPLARS
+        assert sha(export["latency"]) == GOLDEN_LATENCY
+        assert sha(export) == GOLDEN_EXPORT
+
+    def test_spool_line_is_pinned(self):
+        event = TraceEvent(17, 42.5, "receipt", "c3-9", {
+            "shard": 2, "ok": True, "value": None, "err": ValueError("x"),
+            "nested": {"b": 1, "a": [1, 2.5]}})
+        assert event_to_line(event) == (
+            '{"err": "ValueError(\'x\')", "kind": "receipt", "nested": '
+            '{"a": [1, 2.5], "b": 1}, "ok": true, "seq": 17, "shard": 2, '
+            '"trace": "c3-9", "ts": 42.5, "value": null}')
+        plain = TraceEvent(18, 43.0, "epoch", None, {
+            "epoch": 4, "settled": 4000, "promoted": False})
+        assert event_to_line(plain) == (
+            '{"epoch": 4, "kind": "epoch", "promoted": false, "seq": 18, '
+            '"settled": 4000, "trace": null, "ts": 43.0}')
+        assert line_to_event(event_to_line(plain)) == plain
+        assert plain != TraceEvent(18, 43.0, "epoch", None, {})
+
+
 class TestTracer:
     def test_ring_bounded_and_drop_counted(self):
         tracer = Tracer(capacity=4)
@@ -174,6 +290,18 @@ class TestTracer:
         tracer.record("receipt", 2.0, "b")
         assert tracer.find_lifecycle({"admit", "receipt"}) == "b"
         assert tracer.find_lifecycle({"admit", "fence"}) is None
+
+    def test_last_zero_is_nothing(self, tmp_path):
+        """``out[-0:]`` is the whole list; the last 0 events are none —
+        from the ring and from a cold spool alike."""
+        tracer = Tracer()
+        spool = TraceSpool(directory=str(tmp_path))
+        tracer.attach_sink(spool)
+        tracer.record("admit", 1.0, "a")
+        spool.flush()
+        for source in (tracer, SpoolReader(str(tmp_path))):
+            assert len(source.last(1)) == 1
+            assert source.last(0) == source.events(last=-1) == []
 
     def test_disabled_records_nothing(self):
         tracer = Tracer()
