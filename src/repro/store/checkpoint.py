@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.core.keys import BitKey
 from repro.errors import AvailabilityError, CheckpointError, RecoveryError
 from repro.store.faster import FasterKV
+from repro.store.hashindex import HashIndex
 from repro.store.hybridlog import LogDevice
 
 
@@ -33,13 +34,18 @@ class CheckpointToken:
         self.ordered_width = ordered_width
 
 
-def _serialize_index(entries: dict[BitKey, int]) -> bytes:
+def _serialize_index(entries: HashIndex | dict[BitKey, int]) -> bytes:
+    """Count, then per entry 4-byte key length | :meth:`BitKey.to_bytes`
+    | 8-byte signed address, packed into one integer per ``to_bytes``."""
     parts = [len(entries).to_bytes(8, "big")]
     for key, address in entries.items():
-        enc = key.to_bytes()
-        parts.append(len(enc).to_bytes(4, "big"))
-        parts.append(enc)
-        parts.append(address.to_bytes(8, "big", signed=True))
+        length = key.length
+        nbits = (length + 7) & ~7
+        klen = 2 + (nbits >> 3)
+        parts.append((((klen << (16 + nbits) | length << nbits
+                        | key.bits << (nbits - length)) << 64)
+                      | (address & 0xFFFFFFFFFFFFFFFF)
+                      ).to_bytes(12 + klen, "big"))
     return b"".join(parts)
 
 
@@ -72,9 +78,6 @@ def _deserialize_index(blob: bytes) -> dict[BitKey, int]:
     return entries
 
 
-_versions: dict[int, int] = {}
-
-
 def take_checkpoint(store: FasterKV, version: int,
                     faults=None) -> CheckpointToken:
     """Persist the store: flush the log, snapshot the index.
@@ -98,7 +101,7 @@ def take_checkpoint(store: FasterKV, version: int,
     if version <= 0:
         raise CheckpointError("checkpoint version must be positive")
     store.log.flush_until(store.log.tail_address)
-    blob = _serialize_index(store.index.snapshot())
+    blob = _serialize_index(store.index)
     if faults is not None:
         if faults.fire("checkpoint.blob.truncate"):
             blob = blob[:len(blob) // 2]
@@ -149,6 +152,7 @@ def recover(token: CheckpointToken, device: LogDevice) -> FasterKV:
     store.log._next_address = token.tail_address
     store.log.head_address = token.tail_address
     store.log.read_only_address = token.tail_address
+    live: list[BitKey] = []
     for key, address in entries.items():
         if address not in device:
             raise RecoveryError(f"log page {address} missing from device")
@@ -163,6 +167,7 @@ def recover(token: CheckpointToken, device: LogDevice) -> FasterKV:
             raise RecoveryError(
                 f"index entry for {key!r} resolves to a record for {record.key!r}"
             )
-        if not record.tombstone:
-            store._track(key, present=True)
+        if not record.tombstone and key.length == token.ordered_width:
+            live.append(key)
+    store.directory.extend(live)
     return store

@@ -19,7 +19,8 @@ the adversary package mutates these structures directly in tests.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from repro.core.keys import BitKey
 from repro.core.records import Value
@@ -48,6 +49,15 @@ class KeyDirectory:
             return
         bisect.insort(self._sorted, key)
         self._members.add(key)
+
+    def extend(self, keys: Iterable[BitKey]) -> None:
+        """Add many keys with one sort (recovery). Every directory key has
+        the same length, so ``bits`` order is ``BitKey`` order."""
+        fresh = set(keys) - self._members
+        self._members |= fresh
+        self._sorted.extend(fresh)
+        assert len({key.length for key in self._sorted}) <= 1
+        self._sorted.sort(key=attrgetter("bits"))
 
     def remove(self, key: BitKey) -> None:
         if key not in self._members:

@@ -34,6 +34,10 @@ from repro.instrument import COUNTERS
 #: Address value meaning "no previous version".
 NULL_ADDRESS = -1
 
+#: Decoded stable pages a log caches. 256 hit like 4,096 (a cold op re-reads
+#: its chain at once); recovery's scans slow as more are kept (EXPERIMENTS N3).
+PAGE_CACHE_SLOTS = 256
+
 
 class LogRecord:
     """One record version in the log."""
@@ -159,6 +163,11 @@ class HybridLog:
         self.mutable_fraction = mutable_fraction
         self.memory_budget_records = memory_budget_records
         self.device = device if device is not None else LogDevice()
+        # Direct-mapped, (page, key, value, aux, prev_address, tombstone):
+        # untrusted host state holding only what the device returned.
+        self._decoded: list[tuple] = [(None,)] * PAGE_CACHE_SLOTS
+        self.page_decodes = 0
+        self.page_hits = 0
 
     # ------------------------------------------------------------------
     # Allocation and access
@@ -178,7 +187,13 @@ class HybridLog:
         return address
 
     def get(self, address: int) -> LogRecord:
-        """Fetch the record at an address, reading from disk if evicted."""
+        """Fetch the record at an address, reading from disk if evicted.
+
+        A stable read goes to the device first, so faults, rot and rewrites
+        act as if nothing were cached: the cached decode serves only the
+        very bytes object it was made from (``is``, not ``==``; every write,
+        rot or tamper installs a new one), as a record of the caller's own.
+        """
         COUNTERS.store_reads += 1
         record = self._records.get(address)
         if record is not None:
@@ -186,8 +201,14 @@ class HybridLog:
         if address < 0 or address >= self._next_address:
             raise StoreError(f"address {address} was never allocated")
         blob = self.device.read_with_retry(address)
+        slot = address % PAGE_CACHE_SLOTS
+        cached = self._decoded[slot]
+        if cached[0] is blob:
+            self.page_hits += 1
+            return LogRecord(*cached[1:])
+        self.page_decodes += 1
         try:
-            return LogRecord.deserialize(blob)
+            record = LogRecord.deserialize(blob)
         except (StoreError, ValueError) as exc:
             # Structural rot: the persisted bytes no longer decode. Typed
             # as a detection (rot and tampering are indistinguishable on
@@ -195,6 +216,9 @@ class HybridLog:
             raise CorruptPageError(
                 f"page at address {address} failed structural decode: "
                 f"{exc}") from exc
+        self._decoded[slot] = (blob, record.key, record.value, record.aux,
+                               record.prev_address, record.tombstone)
+        return record
 
     def is_mutable(self, address: int) -> bool:
         return address >= self.read_only_address

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.keys import BitKey
 from repro.errors import RecoveryError, TransientIOError
 from repro.store.faster import FasterKV
-from repro.store.hybridlog import LogDevice, LogRecord
+from repro.store.hybridlog import NULL_ADDRESS, LogDevice, LogRecord
 
 
 def rebuild_index_from_log(device: LogDevice, tail_address: int,
@@ -70,10 +70,11 @@ def rebuild_index_from_log(device: LogDevice, tail_address: int,
     store.log._next_address = tail_address
     store.log.head_address = tail_address
     store.log.read_only_address = tail_address
-    from repro.store.hybridlog import NULL_ADDRESS
+    live: list[BitKey] = []
     for key, (address, record) in newest.items():
         store.index.try_update(key, NULL_ADDRESS, address)
-        if not record.tombstone:
-            store._track(key, present=True)
+        if not record.tombstone and key.length == ordered_width:
+            live.append(key)
+    store.directory.extend(live)
     store.quarantined_addresses = quarantined
     return store

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.keys import BitKey
 from repro.core.records import DataValue
 from repro.errors import CheckpointError, RecoveryError
-from repro.store.checkpoint import recover, take_checkpoint
+from repro.store.checkpoint import (
+    _deserialize_index,
+    _serialize_index,
+    recover,
+    take_checkpoint,
+)
 from repro.store.faster import FasterKV
 
 
@@ -44,6 +50,7 @@ class TestCheckpoint:
         recovered = recover(token, store.log.device)
         got = recovered.scan_from(dk(3), 3)
         assert [k.bits for k, _, _ in got] == [3, 4, 5]
+        assert recovered.directory.keys() == store.directory.keys()
 
     def test_tombstones_not_resurrected(self):
         store = loaded_store()
@@ -89,3 +96,46 @@ class TestCheckpoint:
         token.index_blob = token.index_blob + b"junk"
         with pytest.raises(RecoveryError):
             recover(token, store.log.device)
+
+
+def reference_index_blob(entries: dict[BitKey, int]) -> bytes:
+    """The index encoder as first written, one field at a time: the format
+    every retained token is in, kept here as the oracle."""
+    parts = [len(entries).to_bytes(8, "big")]
+    for key, address in entries.items():
+        enc = key.to_bytes()
+        parts.append(len(enc).to_bytes(4, "big"))
+        parts.append(enc)
+        parts.append(address.to_bytes(8, "big", signed=True))
+    return b"".join(parts)
+
+
+def bit_keys(max_length=256):
+    return st.integers(0, max_length).flatmap(
+        lambda n: st.builds(BitKey, st.just(n),
+                            st.integers(0, (1 << n) - 1 if n else 0)))
+
+
+class TestIndexBlobFormat:
+    def test_edge_keys_and_addresses(self):
+        entries = {
+            BitKey.root(): -1,
+            BitKey(1, 1): 0,
+            BitKey(7, 0b1010101): -(1 << 63),
+            BitKey(9, 0b100000001): (1 << 63) - 1,
+            BitKey(256, (1 << 256) - 1): 123456789,
+            dk(5): -2,
+        }
+        blob = _serialize_index(entries)
+        assert blob == reference_index_blob(entries)
+        assert _deserialize_index(blob) == entries
+
+    @given(st.dictionaries(bit_keys(), st.integers(-(1 << 63), (1 << 63) - 1),
+                           max_size=12))
+    def test_matches_the_reference_encoder(self, entries):
+        assert _serialize_index(entries) == reference_index_blob(entries)
+
+    def test_checkpoint_serialises_the_live_index(self):
+        store = loaded_store()
+        token = take_checkpoint(store, version=1)
+        assert token.index_blob == reference_index_blob(store.index.snapshot())

@@ -84,6 +84,7 @@ class TestLogScanRecovery:
             assert (rebuilt.read(key) is None) == (store.read(key) is None)
             if store.read(key) is not None:
                 assert rebuilt.read(key)[0] == store.read(key)[0]
+        assert rebuilt.directory.keys() == store.directory.keys()
 
     def test_missing_pages_lose_data_quietly(self):
         store = self._store()

@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.adversary.host import _writeback
 from repro.core.keys import BitKey
 from repro.core.records import DataValue, MerkleValue, Pointer
-from repro.errors import ProtocolError, StoreError
+from repro.errors import (
+    CorruptPageError,
+    ProtocolError,
+    ReproError,
+    StoreError,
+    TransientIOError,
+)
+from repro.faults import FaultPlan
+from repro.instrument import COUNTERS
 from repro.store.atomic import ContentionInjector, compare_and_swap_pair
+from repro.store.checkpoint import recover, take_checkpoint
 from repro.store.epoch_protection import UNPROTECTED, LightEpoch
 from repro.store.faster import FasterKV, KeyDirectory
+from repro.store import hybridlog
 from repro.store.hashindex import HashIndex
-from repro.store.hybridlog import NULL_ADDRESS, HybridLog, LogDevice, LogRecord
+from repro.store.hybridlog import (
+    NULL_ADDRESS,
+    PAGE_CACHE_SLOTS,
+    HybridLog,
+    LogDevice,
+    LogRecord,
+)
 
 
 def dk(i, width=16):
@@ -139,10 +159,15 @@ class TestHybridLog:
         flushed = log.flush_until(addr + 1)
         assert flushed == 1
         assert not log.in_memory(addr)
+        reads = log.device.reads
         record = log.get(addr)  # re-read through the device
         assert record.value == DataValue(b"payload")
         assert record.aux == 3
-        assert log.device.reads >= 1
+        # One device read per stable get, whether the decode is cached or not.
+        assert log.device.reads == reads + 1
+        assert log.get(addr).value == DataValue(b"payload")
+        assert log.device.reads == reads + 2
+        assert (log.page_decodes, log.page_hits) == (1, 1)
 
     def test_memory_budget_spills(self):
         log = HybridLog(memory_budget_records=10)
@@ -176,6 +201,225 @@ class TestHybridLog:
         device = LogDevice()
         with pytest.raises(StoreError):
             device.read(7)
+
+
+# ---------------------------------------------------------------------------
+# The decoded-page cache under HybridLog.get: speed only, never an answer
+# ---------------------------------------------------------------------------
+def fields(record):
+    return (record.key, record.value, record.aux, record.prev_address,
+            record.tombstone)
+
+
+def flushed_log(n=1):
+    log = HybridLog()
+    for i in range(n):
+        log.append(LogRecord(dk(i), DataValue(b"v%d" % i), i))
+    log.flush_until(log.tail_address)
+    return log
+
+
+def fresh_copy(page: bytes) -> bytes:
+    """Equal bytes in a new object (``bytes(page)`` would return ``page``)."""
+    return bytes(bytearray(page))
+
+
+class UncachedLog(HybridLog):
+    """The reference: ``get`` as it was before the cache, decoding every
+    stable page it reads."""
+
+    def get(self, address):
+        COUNTERS.store_reads += 1
+        record = self._records.get(address)
+        if record is not None:
+            return record
+        if address < 0 or address >= self._next_address:
+            raise StoreError(f"address {address} was never allocated")
+        blob = self.device.read_with_retry(address)
+        try:
+            return LogRecord.deserialize(blob)
+        except (StoreError, ValueError) as exc:
+            raise CorruptPageError(
+                f"page at address {address} failed structural decode: "
+                f"{exc}") from exc
+
+
+class TestPageCache:
+    def test_equal_content_in_a_new_page_object_is_decoded_again(self):
+        log = flushed_log()
+        log.get(0)
+        log.get(0)
+        assert (log.page_decodes, log.page_hits) == (1, 1)
+        pages = log.device._pages
+        pages[0] = fresh_copy(pages[0])
+        assert fields(log.get(0)) == (dk(0), DataValue(b"v0"), 0,
+                                      NULL_ADDRESS, False)
+        # Identity, not equality: the cache never compares page contents.
+        assert (log.page_decodes, log.page_hits) == (2, 1)
+
+    def test_tamper_after_a_hit_is_seen_on_the_next_read(self):
+        log = flushed_log()
+        log.get(0)
+        assert log.get(0).value == DataValue(b"v0")
+        log.device.write(0, LogRecord(dk(0), DataValue(b"evil"), 9).serialize())
+        assert fields(log.get(0))[1:3] == (DataValue(b"evil"), 9)
+
+    def test_rot_after_a_hit_is_seen_on_the_read_that_rots(self):
+        log = flushed_log()
+        log.get(0)
+        log.device.faults = FaultPlan(specs={"device.read.bitrot": [0]})
+        assert log.get(0).value != DataValue(b"v0")
+        assert log.page_hits == 0
+
+    def test_transient_fault_on_a_cached_address_still_raises(self):
+        log = flushed_log()
+        log.get(0)
+        log.get(0)
+        reads = log.device.reads
+        log.device.faults = FaultPlan(
+            specs={"device.read.transient": [0, 1, 2]})
+        with pytest.raises(TransientIOError):
+            log.get(0)
+        assert log.device.reads == reads + 3
+        assert log.get(0).value == DataValue(b"v0")
+        assert log.page_hits == 2
+
+    def test_mutating_a_stable_read_needs_writeback_to_be_seen(self):
+        store = FasterKV()
+        store.upsert(dk(1), DataValue(b"v"), 7)
+        store.log.flush_until(store.log.tail_address)
+        for _ in range(2):  # once off a miss, once off a hit
+            record = store.read_record(dk(1))
+            record.value = DataValue(b"__tampered__")
+            record.aux = 99
+            assert store.read(dk(1)) == (DataValue(b"v"), 7)
+        _writeback(SimpleNamespace(store=store), record)
+        assert store.read(dk(1)) == (DataValue(b"__tampered__"), 99)
+
+    def test_recovered_store_starts_with_an_empty_cache(self):
+        store = FasterKV(ordered_width=16)
+        for i in range(8):
+            store.upsert(dk(i), DataValue(b"v%d" % i), i)
+        token = take_checkpoint(store, version=1)
+        for i in range(8):
+            store.read(dk(i))
+            store.read(dk(i))
+        assert store.log.page_hits == 8
+        recovered = recover(token, store.log.device)
+        assert (recovered.log.page_decodes, recovered.log.page_hits) == (8, 0)
+
+    def test_addresses_sharing_a_slot_evict_each_other(self):
+        log = flushed_log(PAGE_CACHE_SLOTS + 1)
+        for address in (0, PAGE_CACHE_SLOTS, 0):
+            assert log.get(address).key == dk(address)
+        assert (log.page_decodes, log.page_hits) == (3, 0)
+        log.get(0)
+        assert (log.page_decodes, log.page_hits) == (3, 1)
+
+
+FAULT_SPECS = {"device.read.transient": 0.3, "device.read.bitrot": 0.1}
+
+
+class PageCacheMachine(RuleBasedStateMachine):
+    """The same steps against a cached and an uncached log: every answer,
+    error, device count, store-read count and fault firing must agree."""
+
+    def __init__(self):
+        super().__init__()
+        # Four slots: these few addresses collide all the time.
+        self.slots = hybridlog.PAGE_CACHE_SLOTS
+        hybridlog.PAGE_CACHE_SLOTS = 4
+        self.cached = FasterKV()
+        self.plain = FasterKV()
+        self.plain.log = UncachedLog()
+        self.stores = (self.cached, self.plain)
+        for store in self.stores:
+            store.log.device.faults = FaultPlan(seed=5, specs=FAULT_SPECS)
+
+    def both(self, step):
+        """Run ``step(store)`` on each side; compare outcome and reads."""
+        outcomes = []
+        for store in self.stores:
+            before = COUNTERS.store_reads
+            try:
+                result = step(store)
+            except ReproError as exc:  # every typed failure
+                result = (type(exc), str(exc))
+            outcomes.append((result, COUNTERS.store_reads - before))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0][0]
+
+    def stable_address(self, pick):
+        head = self.cached.log.head_address
+        return pick % head if head else None
+
+    @rule(k=st.integers(0, 5), payload=st.binary(max_size=6),
+          aux=st.integers(0, 2 ** 64 - 1))
+    def upsert(self, k, payload, aux):
+        self.both(lambda store: store.upsert(dk(k), DataValue(payload), aux))
+
+    @rule(k=st.integers(0, 5), tombstone=st.booleans())
+    def append(self, k, tombstone):
+        self.both(lambda store: store.log.append(LogRecord(
+            dk(k), DataValue(b"a"), 1, store.log.tail_address - 1, tombstone)))
+
+    @rule(share=st.floats(0, 1))
+    def flush_until(self, share):
+        self.both(lambda store: store.log.flush_until(
+            int(share * store.log.tail_address)))
+
+    @rule(pick=st.integers(0, 10 ** 6))
+    def get(self, pick):
+        tail = self.cached.log.tail_address
+        address = pick % (tail + 2) - 1     # -1 and tail: never allocated
+
+        def step(store):
+            record = store.log.get(address)
+            got = fields(record)
+            if not store.log.in_memory(address):
+                # A stable read is the caller's own copy: scribbling on it
+                # must not reach any later reader.
+                record.value, record.aux, record.tombstone = None, -1, True
+            return got
+        self.both(step)
+
+    @rule(pick=st.integers(0, 10 ** 6), same_content=st.booleans(),
+          payload=st.binary(max_size=6))
+    def rewrite_page(self, pick, same_content, payload):
+        address = self.stable_address(pick)
+        if address is None:
+            return
+        for store in self.stores:
+            pages = store.log.device._pages
+            if same_content:
+                pages[address] = fresh_copy(pages[address])
+            else:
+                pages[address] = LogRecord(
+                    dk(7), DataValue(payload), 3).serialize()
+
+    @rule(pick=st.integers(0, 10 ** 6))
+    def tear_page(self, pick):
+        address = self.stable_address(pick)
+        if address is None:
+            return
+        for store in self.stores:
+            pages = store.log.device._pages
+            pages[address] = pages[address][:len(pages[address]) // 2]
+
+    def teardown(self):
+        hybridlog.PAGE_CACHE_SLOTS = self.slots
+
+    @invariant()
+    def devices_and_fault_logs_agree(self):
+        a, b = (store.log.device for store in self.stores)
+        assert (a.reads, a.writes, a._pages) == (b.reads, b.writes, b._pages)
+        assert a.faults.trace == b.faults.trace
+
+
+TestPageCacheMachine = PageCacheMachine.TestCase
+TestPageCacheMachine.settings = settings(max_examples=60,
+                                         stateful_step_count=40,
+                                         deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +609,17 @@ class TestKeyDirectory:
         d.remove(dk(1))  # idempotent
         assert len(d) == 0
         assert dk(1) not in d
+
+    @given(st.lists(st.integers(0, 1000), max_size=50),
+           st.lists(st.integers(0, 1000), max_size=50))
+    def test_extend_matches_one_add_per_key(self, first, second):
+        bulk, single = KeyDirectory(), KeyDirectory()
+        for batch in (first, second):
+            bulk.extend([dk(k) for k in batch])
+            for k in batch:
+                single.add(dk(k))
+        assert bulk.keys() == single.keys()
+        assert bulk._members == single._members
 
     @given(st.sets(st.integers(0, 1000), max_size=50),
            st.integers(0, 1000), st.integers(0, 10))
