@@ -64,11 +64,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from repro.backoff import BackoffPolicy
 from repro.client import RetryingClient
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.core.fastver import FastVer
 from repro.errors import (
     IntegrityError,
     ReceiptBindingError,
@@ -82,7 +79,8 @@ from repro.faults.plan import FaultPlan
 from repro.obs import TRACER
 from repro.obs import reset as obs_reset
 from repro.replication.shipper import body_digest, encode_body
-from repro.server import FastVerServer, ServerConfig
+from repro.server import FastVerServer
+from repro.topology import Topology, build
 
 
 @dataclass
@@ -164,48 +162,27 @@ class RedTeamReport:
 # Per-campaign context
 # ======================================================================
 class _Campaign:
-    """One fresh system under attack: a small loaded FastVer, optionally
-    fronted by the serving pipeline, standby replication, and the
-    retrying SDK — mirroring the chaos harness's provisioning so the
-    attacks run against exactly the stack the soaks exercise."""
+    """One fresh system under attack: the small loaded stack the cell's
+    :class:`Topology` names, built by the same :func:`repro.topology.build`
+    the chaos soaks use, so the attacks run against exactly the stack the
+    soaks exercise."""
 
     RECORDS = 48
 
     def __init__(self, seed: int, topology: str):
         self.seed = seed
         self.topology = topology
-        items = [(k, b"seed-%d" % k) for k in range(self.RECORDS)]
-        db = FastVer(
-            FastVerConfig(key_width=16, n_workers=2, partition_depth=3,
-                          cache_capacity=64),
-            items=items,
-        )
-        self.client = Client(1, MacKey.generate(f"redteam-{seed}"))
-        db.register_client(self.client)
-        db.verify()
-        db.checkpoint()
-        self.server: FastVerServer | None = None
-        self.sdk: RetryingClient | None = None
-        self._db = db
-        if topology == "direct":
-            return
-        if topology in ("batched", "pipelined"):
-            cfg = ServerConfig(group_commit=True, max_batch_ops=4,
-                               max_batch_ticks=16.0,
-                               pipeline=(topology == "pipelined"))
-        else:
-            cfg = ServerConfig()
-        self.server = FastVerServer(db, cfg, warm=items)
-        # Every served topology runs with a warm standby attached: the
-        # split-brain and shipping-fork campaigns need one, and a real
-        # deployment of the failover stack always has one.
-        self.server.attach_standby()
-        self.sdk = RetryingClient(
-            self.server, self.client,
-            policy=BackoffPolicy(max_attempts=5, base_delay=2.0,
-                                 max_delay=16.0, seed=seed))
+        stack = build(REDTEAM_TOPOLOGIES[topology],
+                      [(k, b"seed-%d" % k) for k in range(self.RECORDS)],
+                      seed=seed, label=f"redteam-{seed}")
+        self.client = stack.client
+        self.server: FastVerServer | None = stack.server
+        self.sdk: RetryingClient | None = stack.sdk
+        self.op = stack.op
+        self.close_epoch = stack.close_epoch
+        self._stack = stack
         if topology == "failover":
-            # Attacks in this topology run *post-promotion*: a failover
+            # Attacks in this cell run *post-promotion*: a failover
             # already happened, the client adopted its fence, and
             # auto_reattach has bootstrapped a fresh standby.
             self.sdk.put(0, b"pre-failover")
@@ -215,32 +192,11 @@ class _Campaign:
 
     @property
     def db(self) -> FastVer:
-        return self.server.db if self.server is not None else self._db
+        return self._stack.db
 
     @property
     def now(self) -> float:
-        return self.server.now if self.server is not None else 0.0
-
-    # -- plumbing shared by several campaigns ---------------------------
-    def op(self, key: int, payload: bytes | None = None):
-        """One honest operation through whatever stack the topology has."""
-        if self.server is None:
-            if payload is None:
-                return self._db.get(self.client, key)
-            return self._db.put(self.client, key, payload)
-        if payload is None:
-            return self.sdk.get(key)
-        return self.sdk.put(key, payload)
-
-    def close_epoch(self) -> None:
-        """Honest epoch close + checkpoint (maintain(), or its direct-mode
-        equivalent)."""
-        if self.server is None:
-            self._db.verify()
-            self._db.flush()
-            self._db.checkpoint()
-        else:
-            self.server.maintain()
+        return self._stack.now
 
     def sync_standby(self) -> None:
         """Pump the shipping channel until the standby fully caught up."""
@@ -341,7 +297,7 @@ def attack_split_brain(c: _Campaign):
     # The rogue host now fronts the live deposed enclave with its own
     # serving loop, still announcing the old (pre-promotion) generation,
     # and hijacks the client's connection.
-    rogue = FastVerServer(old_db, ServerConfig())
+    rogue = FastVerServer(old_db)
     real = c.sdk.server
     c.sdk.server = rogue
     try:
@@ -363,11 +319,8 @@ def attack_shipping_fork(c: _Campaign):
     its anti-replay window."""
     mgr = c.server.replication
     # A genuine, shipped, acknowledged put whose request the host kept.
-    genuine = c.client.make_put(c.server.bitkey(9), b"genuine")
-    from repro.server.pipeline import ServerRequest
-    request = ServerRequest(
-        "put", genuine, c.server.now + c.server.config.default_deadline,
-        worker=genuine.key.bits, generation=c.sdk.generation)
+    request = c.sdk.envelope("put", 9, b"genuine")
+    genuine = request.op
     c.server.handle(request)
     c.close_epoch()
     c.sync_standby()
@@ -636,7 +589,6 @@ def attack_settle_swap(c: _Campaign):
     binds each result to its request's nonce, so the mis-paired receipt
     cannot validate."""
     server = c.server
-    from repro.server.pipeline import ServerRequest
     original = server._settle_inflight
     swapped = []
 
@@ -657,10 +609,7 @@ def attack_settle_swap(c: _Campaign):
     # A background op submitted straight to the server lands in the same
     # shard batch as the SDK's op (n_workers=2: even keys share a shard),
     # giving the host two in-flight receipts to mis-pair.
-    bait = c.client.make_put(server.bitkey(20), b"bait")
-    server.submit(ServerRequest(
-        "put", bait, server.now + server.config.default_deadline,
-        worker=bait.key.bits, generation=c.sdk.generation))
+    server.submit(c.sdk.envelope("put", 20, b"bait"))
     try:
         result = c.sdk.put(22, b"the-truth")
     except ReceiptBindingError as exc:
@@ -690,8 +639,19 @@ REDTEAM_ATTACKS = {
     "settle_swap": attack_settle_swap,
 }
 
-REDTEAM_TOPOLOGIES = ("direct", "server", "batched", "failover",
-                      "pipelined")
+#: Cell name (the verdict label, so a digest input) -> the stack under
+#: attack. Every served cell carries one warm standby — the split-brain
+#: and shipping-fork campaigns need one, and a real deployment of the
+#: failover stack always has one — so the ``server`` cell is the
+#: ``failover`` topology, and the ``failover`` cell is that same stack
+#: with one promotion already performed (see :class:`_Campaign`).
+REDTEAM_TOPOLOGIES = {
+    "direct": Topology.parse("direct"),
+    "server": Topology.parse("failover"),
+    "batched": Topology.parse("batched+failover"),
+    "failover": Topology.parse("failover"),
+    "pipelined": Topology.parse("pipelined+failover"),
+}
 
 #: Attack set for the synchronous-settlement topologies: everything but
 #: the streamed-settlement campaign (their ``_inflight`` deque is always

@@ -12,10 +12,10 @@ Receipt-synchronous framing: every batch settles inside the pump that
 staged it, so batch size 1 is the honest one-crossing-per-op baseline
 and larger sizes show pure crossing amortization at identical answers.
 
-Pipelined framing: with ``pipeline=True`` the per-shard flushes become
-independent ecalls whose receipts stream back across later pumps, so
-the host stages the next wave while the verifier digests the last one
-and the enclave side runs shard-parallel. Those rows are modeled with
+Pipelined framing: under the ``pipelined`` topology the per-shard
+flushes become independent ecalls whose receipts stream back across
+later pumps, so the host stages the next wave while the verifier digests
+the last one and the enclave side runs shard-parallel. Those rows are modeled with
 :meth:`CostModel.pipelined_total_ns` and must clear
 :data:`PIPELINED_TARGET_RATIO` over the synchronous batch-64 row at
 equal-or-better admission-wait p95.
@@ -45,16 +45,15 @@ from __future__ import annotations
 
 import time
 
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.core.fastver import FastVerConfig
 from repro.enclave.costmodel import SIMULATED
 from repro.instrument import COUNTERS
 from repro.obs import LATENCIES, set_enabled
 from repro.obs import reset as obs_reset
-from repro.server.pipeline import FastVerServer, ServerConfig, ServerRequest
+from repro.server.controller import TICKS_PER_OP
 from repro.sim.costs import DEFAULT_COSTS
-from repro.workloads.ycsb import OP_PUT, WORKLOADS, YcsbGenerator
+from repro.topology import Stack, Topology, build
+from repro.workloads.ycsb import WORKLOADS, YcsbGenerator
 
 #: The sweep the ISSUE names.
 BATCH_SIZES = (1, 4, 16, 64, 256)
@@ -74,87 +73,66 @@ FRONTIER_BUDGET_TICKS = 200.0
 EPOCH_EVERY_BATCHES = 4
 FRONTIER_BUDGET_SLACK = 1.10
 
+BATCHED = Topology("batched")
+PIPELINED = Topology("pipelined")
 
-def _build_server(records: int, batch: int, seed: int, **cfg):
+
+def _build(topology: Topology, records: int, batch: int, seed: int,
+           **cfg) -> Stack:
     items = [(k, b"seed-%d" % k) for k in range(records)]
-    db = FastVer(
-        FastVerConfig(key_width=32, n_workers=N_WORKERS, partition_depth=3,
-                      cache_capacity=256,
-                      # Headroom for the largest shard batch, so staging
-                      # never auto-flushes mid-batch; epoch closes are
-                      # measured separately from the op phase.
-                      log_capacity=2048, batch_ops=None),
-        items=items)
-    client = Client(1, MacKey.generate(f"bench-batching-{seed}"))
-    db.register_client(client)
-    db.verify()
-    db.checkpoint()
     config = dict(
-        group_commit=True, max_batch_ops=batch,
-        max_batch_ticks=float(10 ** 9),
+        max_batch_ops=batch, max_batch_ticks=float(10 ** 9),
         queue_capacity=max(64, 4 * batch),
         default_deadline=float(10 ** 12))
     config.update(cfg)
-    server = FastVerServer(db, ServerConfig(**config), warm=items)
-    return db, client, server
+    return build(
+        topology, items, seed=seed, label=f"bench-batching-{seed}",
+        fastver=FastVerConfig(
+            key_width=32, n_workers=N_WORKERS, partition_depth=3,
+            cache_capacity=256,
+            # Headroom for the largest shard batch, so staging never
+            # auto-flushes mid-batch; epoch closes are measured
+            # separately from the op phase.
+            log_capacity=2048, batch_ops=None),
+        server=config)
 
 
-def _stream(client, server, records: int, ops: int, seed: int) -> list:
+def _stream(stack: Stack, records: int, ops: int, seed: int) -> list:
     """The seeded YCSB-A request stream every sweep point replays."""
     generator = YcsbGenerator(WORKLOADS["YCSB-A"], records,
                               distribution="zipfian", theta=0.9, seed=seed)
-    requests = []
-    for kind, k, payload in generator.operations(ops):
-        bk = server.bitkey(k)
-        if kind == OP_PUT:
-            op = client.make_put(bk, payload)
-            requests.append(ServerRequest("put", op, float(10 ** 12),
-                                          worker=bk.bits))
-        else:
-            op = client.make_get(bk)
-            requests.append(ServerRequest("get", op, float(10 ** 12),
-                                          worker=bk.bits))
-    return requests
-
-
-def _drain(server, tickets: list, pumps: int = 64) -> None:
-    """Pump until every streamed receipt settles (pipelined runs leave
-    batches in flight when the stream ends)."""
-    for _ in range(pumps):
-        if all(t.done for t in tickets):
-            return
-        server.pump()
+    return [stack.sdk.envelope(kind, k, payload)
+            for kind, k, payload in generator.operations(ops)]
 
 
 def _run_one(batch: int, records: int, ops: int, seed: int,
-             pipeline: bool = False, obs_full: bool = False,
+             topology: Topology = BATCHED,
              maintain_every_waves: int | None = None) -> dict:
     """One sweep point: drive ``ops`` through the batched loop at this
     ``max_batch_ops``, with the counters scoped to the op phase only.
 
-    With ``pipeline=True`` the flushes dispatch without blocking on
+    Under :data:`PIPELINED` the flushes dispatch without blocking on
     receipts and the wave is pinned at the synchronous batch-64 wave
     (``N_WORKERS * 64``) so the admission-wait distribution is directly
     comparable to that row; modeled time switches to the overlapped
     :meth:`CostModel.pipelined_total_ns`.
 
-    ``obs_full=True`` arms the whole observability pipeline — persistent
-    spool, exemplar sampling, SLO engine — for the overhead pin;
-    ``maintain_every_waves`` closes an epoch every N submission waves so
-    the SLO engine and exemplars actually have settlements to chew on
-    (both arms of the overhead comparison must use the same cadence)."""
+    A ``+slo`` topology arms the whole observability pipeline —
+    persistent spool, exemplar sampling, SLO engine — for the overhead
+    pin; ``maintain_every_waves`` closes an epoch every N submission
+    waves so the SLO engine and exemplars actually have settlements to
+    chew on (both arms of the overhead comparison must use the same
+    cadence)."""
+    pipeline = topology.serving == "pipelined"
     wave = N_WORKERS * 64 if pipeline else max(1, N_WORKERS * batch)
-    cfg = dict(pipeline=pipeline,
-               queue_capacity=max(64, 4 * batch, wave))
-    if obs_full:
-        from repro.obs.slo import SloConfig
-        cfg["slo"] = SloConfig()
-    db, client, server = _build_server(records, batch, seed, **cfg)
-    requests = _stream(client, server, records, ops, seed)
+    stack = _build(topology, records, batch, seed,
+                   queue_capacity=max(64, 4 * batch, wave))
+    db, server = stack.db, stack.server
+    requests = _stream(stack, records, ops, seed)
     # Submission waves sized so every shard can fill to ``batch`` within
     # one pump (N_WORKERS shards share each wave).
     obs_reset()
-    if obs_full:
+    if topology.slo:
         from repro.obs import TRACER
         from repro.obs.sink import TraceSpool
         TRACER.attach_sink(TraceSpool())
@@ -170,8 +148,7 @@ def _run_one(batch: int, records: int, ops: int, seed: int,
         waves += 1
         if maintain_every_waves and waves % maintain_every_waves == 0:
             server.maintain()
-    if pipeline:
-        _drain(server, tickets)
+    server.drain(tickets)
     crossings = COUNTERS.enclave_entries
     if pipeline:
         modeled_ns = DEFAULT_COSTS.pipelined_total_ns(
@@ -255,7 +232,7 @@ def tracing_overhead(records: int = 400, ops: int = 2000, seed: int = 7,
             maintain_every_waves=OVERHEAD_MAINTAIN_EVERY_WAVES)
         set_enabled(True)
         on, _ = _run_one(
-            batch, records, ops, seed, obs_full=True,
+            batch, records, ops, seed, topology=Topology("batched", slo=True),
             maintain_every_waves=OVERHEAD_MAINTAIN_EVERY_WAVES)
     finally:
         set_enabled(True)
@@ -282,16 +259,15 @@ def _run_frontier_point(records: int, ops: int, seed: int,
     batches mean fewer batch ecalls *and* fewer epoch closes per op,
     but receipts wait longer for their epoch. Static points pin
     ``max_batch_ops`` (linger at the controller's own law,
-    ``controller_ticks_per_op * batch``); the adaptive point declares
+    ``TICKS_PER_OP * batch``); the adaptive point declares
     ``latency_budget_p99=budget`` and lets the AIMD controller walk the
     bounds from the same starting batch every static point also gets."""
     start = batch if batch is not None else 16
-    cfg = {"pipeline": True, "max_batch_ticks": 4.0 * start,
-           "queue_capacity": 256}
-    if budget is not None:
-        cfg["latency_budget_p99"] = budget
-    db, client, server = _build_server(records, start, seed, **cfg)
-    requests = _stream(client, server, records, ops, seed)
+    stack = _build(PIPELINED, records, start, seed,
+                   max_batch_ticks=TICKS_PER_OP * start, queue_capacity=256,
+                   latency_budget_p99=budget)
+    server = stack.server
+    requests = _stream(stack, records, ops, seed)
     wave = 16
     obs_reset()
     COUNTERS.reset()
@@ -308,7 +284,7 @@ def _run_frontier_point(records: int, ops: int, seed: int,
             server.maintain()
             epoch_closes += 1
             last_epoch_batches = COUNTERS.batches
-    _drain(server, tickets)
+    server.drain(tickets)
     server.maintain()  # the tail's receipts settle at this final close
     epoch_closes += 1
     modeled_ns = DEFAULT_COSTS.pipelined_total_ns(
@@ -377,7 +353,7 @@ def run_batching_bench(records: int = 400, ops: int = 2000,
     # the synchronous batch-64 row at equal-or-better admission-wait p95.
     pipelined_rows = []
     for batch in PIPELINED_BATCH_SIZES:
-        row, _ = _run_one(batch, records, ops, seed, pipeline=True)
+        row, _ = _run_one(batch, records, ops, seed, topology=PIPELINED)
         pipelined_rows.append(row)
     sync64 = by_batch[64]
     best = max(pipelined_rows, key=lambda r: r["throughput_mops"])

@@ -30,13 +30,13 @@ The quorum-HA rows (ISSUE 7) extend the comparison:
 from __future__ import annotations
 
 from repro.backoff import BackoffPolicy
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.core.fastver import FastVerConfig
 from repro.errors import AvailabilityError
 from repro.obs import LATENCIES
 from repro.obs import reset as obs_reset
-from repro.server.pipeline import FastVerServer, ServerConfig
+from repro.server.pipeline import FastVerServer
+from repro.topology import Stack, Topology, build
+from repro.workloads.ycsb import WORKLOADS, YcsbGenerator
 
 TARGET_RATIO = 0.10
 #: Quorum (N=3) failover may cost at most this multiple of the
@@ -47,41 +47,27 @@ QUORUM_RTO_MULTIPLE = 2.0
 DELTA_SPEEDUP_FLOOR = 5.0
 
 
-def _build_server(records: int, ops: int, seed: int,
-                  standbys: int = 0):
-    """A server with ``records`` loaded and ``ops`` SDK operations worth
-    of history (checkpointed every 100), optionally with a replication
-    group of ``standbys`` warm members. Returns ``(server, sdk)``."""
-    from repro.client import RetryingClient
-    from repro.workloads.ycsb import OP_PUT, WORKLOADS, YcsbGenerator
-
-    items = [(k, b"seed-%d" % k) for k in range(records)]
-    db = FastVer(
-        FastVerConfig(key_width=32, n_workers=2, partition_depth=4,
-                      cache_capacity=256),
-        items=items)
-    client = Client(1, MacKey.generate(f"bench-failover-{seed}"))
-    db.register_client(client)
-    db.verify()
-    db.checkpoint()
-    server = FastVerServer(db, ServerConfig(), warm=items)
-    if standbys:
-        from repro.replication import ReplicationConfig
-        server.attach_standby(
-            config=ReplicationConfig(n_standbys=standbys))
-    sdk = RetryingClient(server, client,
-                         policy=BackoffPolicy(max_attempts=3, base_delay=2.0,
-                                              max_delay=8.0, seed=seed))
+def served_history(topology: Topology, records: int, ops: int, seed: int,
+                   label: str) -> tuple[Stack, float]:
+    """A served stack with ``records`` loaded and ``ops`` SDK operations
+    worth of YCSB-A history, checkpointed every 100 (shared with the
+    repair bench). Returns the stack and the simulated ticks the op phase
+    took."""
+    stack = build(
+        topology, [(k, b"seed-%d" % k) for k in range(records)],
+        seed=seed, label=f"{label}-{seed}",
+        fastver=FastVerConfig(key_width=32, n_workers=2, partition_depth=4,
+                              cache_capacity=256),
+        backoff=BackoffPolicy(max_attempts=3, base_delay=2.0, max_delay=8.0,
+                              seed=seed))
     generator = YcsbGenerator(WORKLOADS["YCSB-A"], records,
                               distribution="zipfian", theta=0.9, seed=seed)
-    for i, (kind, k, payload) in enumerate(generator.operations(ops)):
-        if kind == OP_PUT:
-            sdk.put(k, payload)
-        else:
-            sdk.get(k)
+    op_t0 = stack.now
+    for i, (_kind, k, payload) in enumerate(generator.operations(ops)):
+        stack.op(k, payload)  # the A mix: a get carries no payload
         if (i + 1) % 100 == 0:
-            server.maintain()
-    return server, sdk
+            stack.close_epoch()
+    return stack, stack.now - op_t0
 
 
 def _measure_rto(server: FastVerServer, destroy: bool) -> float:
@@ -146,15 +132,18 @@ def run_failover_bench(records: int = 1200, ops: int = 400,
                        seed: int = 7) -> dict:
     """Measure both recovery paths plus the quorum-HA rows; return the
     JSON-ready comparison."""
+    def history(topology: str) -> Stack:
+        return served_history(Topology.parse(topology), records, ops, seed,
+                              "bench-failover")[0]
+
     obs_reset()
-    cold, _ = _build_server(records, ops, seed)
-    restore_rto = _measure_rto(cold, destroy=False)
+    restore_rto = _measure_rto(history("server").server, destroy=False)
     restore_latency = {name: LATENCIES.get(name).summary()
                        for name in LATENCIES.names()
                        if LATENCIES.get(name).count}
 
     obs_reset()
-    warm, _ = _build_server(records, ops, seed, standbys=1)
+    warm = history("failover").server
     failover_rto = _measure_rto(warm, destroy=True)
     assert warm.generation == 1, "warm path did not fail over"
     failover_latency = {name: LATENCIES.get(name).summary()
@@ -165,10 +154,10 @@ def run_failover_bench(records: int = 1200, ops: int = 400,
     # votes; then rejoin a member via both resync paths on the promoted
     # leader.
     obs_reset()
-    quorum, quorum_sdk = _build_server(records, ops, seed, standbys=3)
-    quorum_rto = _measure_rto(quorum, destroy=True)
-    assert quorum.generation == 1, "quorum path did not fail over"
-    delta_ticks, snapshot_ticks = _measure_resync(quorum, quorum_sdk)
+    quorum = history("failover:3")
+    quorum_rto = _measure_rto(quorum.server, destroy=True)
+    assert quorum.server.generation == 1, "quorum path did not fail over"
+    delta_ticks, snapshot_ticks = _measure_resync(quorum.server, quorum.sdk)
     quorum_latency = {name: LATENCIES.get(name).summary()
                       for name in LATENCIES.names()
                       if LATENCIES.get(name).count}

@@ -22,13 +22,11 @@ tax must stay ≤ 10%. Results land in ``BENCH_repair.json``.
 
 from __future__ import annotations
 
-from repro.backoff import BackoffPolicy
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.bench.failover import served_history
 from repro.errors import AvailabilityError
 from repro.obs import reset as obs_reset
-from repro.server.pipeline import FastVerServer, ServerConfig
+from repro.server.pipeline import FastVerServer
+from repro.topology import Topology
 
 #: Single-page repair may cost at most this fraction of a lenient salvage.
 MTTR_VS_SALVAGE_MAX = 0.10
@@ -36,44 +34,6 @@ MTTR_VS_SALVAGE_MAX = 0.10
 MTTR_VS_RESTORE_MAX = 0.02
 #: Steady-state throughput tax of scrub-on vs scrub-off.
 OVERHEAD_MAX = 0.10
-
-
-def _build_server(records: int, ops: int, seed: int, standbys: int = 0,
-                  scrub: bool = True):
-    """A server with ``records`` loaded and ``ops`` SDK operations worth
-    of history, checkpointed every 100 ops. Returns ``(server, sdk)``."""
-    from repro.client import RetryingClient
-    from repro.workloads.ycsb import OP_PUT, WORKLOADS, YcsbGenerator
-
-    items = [(k, b"seed-%d" % k) for k in range(records)]
-    db = FastVer(
-        FastVerConfig(key_width=32, n_workers=2, partition_depth=4,
-                      cache_capacity=256),
-        items=items)
-    client = Client(1, MacKey.generate(f"bench-repair-{seed}"))
-    db.register_client(client)
-    db.verify()
-    db.checkpoint()
-    server = FastVerServer(db, ServerConfig(scrub_enabled=scrub),
-                           warm=items)
-    if standbys:
-        from repro.replication import ReplicationConfig
-        server.attach_standby(
-            config=ReplicationConfig(n_standbys=standbys))
-    sdk = RetryingClient(server, client,
-                         policy=BackoffPolicy(max_attempts=3, base_delay=2.0,
-                                              max_delay=8.0, seed=seed))
-    generator = YcsbGenerator(WORKLOADS["YCSB-A"], records,
-                              distribution="zipfian", theta=0.9, seed=seed)
-    op_t0 = server.now
-    for i, (kind, k, payload) in enumerate(generator.operations(ops)):
-        if kind == OP_PUT:
-            sdk.put(k, payload)
-        else:
-            sdk.get(k)
-        if (i + 1) % 100 == 0:
-            server.maintain()
-    return server, sdk, server.now - op_t0
 
 
 def _rot_one_page(server: FastVerServer) -> tuple[int, object]:
@@ -161,25 +121,20 @@ def run_repair_bench(records: int = 1200, ops: int = 400,
                      seed: int = 7) -> dict:
     """Measure repair vs salvage vs restore plus the scrub tax; return
     the JSON-ready comparison."""
-    obs_reset()
+    def history(topology: str):
+        obs_reset()
+        stack, op_ticks = served_history(Topology.parse(topology), records,
+                                         ops, seed, "bench-repair")
+        return stack.server, op_ticks
+
     # Repair measurement runs against a quorum member: the authentic
     # bytes come back from the standby's committed state.
-    repair_srv, _, _ = _build_server(records, ops, seed, standbys=1)
-    repair_mttr, repair_detail = _measure_repair(repair_srv)
-
-    obs_reset()
-    cold, _, _ = _build_server(records, ops, seed, scrub=False)
-    restore_rto = _measure_restore(cold)
-
-    obs_reset()
-    salv, _, _ = _build_server(records, ops, seed, scrub=False)
-    salvage_rto = _measure_salvage(salv)
-
+    repair_mttr, repair_detail = _measure_repair(history("failover+scrub")[0])
+    restore_rto = _measure_restore(history("server")[0])
+    salvage_rto = _measure_salvage(history("server")[0])
     # Steady-state tax: the same op phase, scrub on vs off, no rot.
-    obs_reset()
-    _, _, on_ticks = _build_server(records, ops, seed, scrub=True)
-    obs_reset()
-    _, _, off_ticks = _build_server(records, ops, seed, scrub=False)
+    _, on_ticks = history("server+scrub")
+    _, off_ticks = history("server")
     overhead = ((on_ticks - off_ticks) / off_ticks if off_ticks
                 else float("inf"))
 

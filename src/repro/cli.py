@@ -41,6 +41,14 @@ import sys
 
 from repro import FastVer, FastVerConfig, new_client
 from repro.instrument import COUNTERS
+from repro.topology import Topology
+
+
+def _topology(text: str) -> Topology:
+    try:
+        return Topology.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,54 +79,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("attacks", help="run the byzantine attack gallery")
 
+    # chaos, trace and obs all run one chaos scenario; they describe it
+    # with the same four arguments.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--seed", type=int, default=7)
+    scenario.add_argument("--ops", type=int, default=2000)
+    scenario.add_argument("--records", type=int, default=200)
+    scenario.add_argument("--topology", type=_topology, default=Topology(),
+                          metavar="T",
+                          help="the stack under test: direct (default), "
+                               "server, batched or pipelined, plus any of "
+                               "failover[:N], scrub, slo joined with '+' "
+                               "(e.g. pipelined+failover, failover:3+scrub); "
+                               "docs/PROTOCOL.md 'Topologies' says what each "
+                               "term builds and which faults it arms")
+    # trace and obs query the events the scenario left behind.
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--trace", default=None,
+                       help="print the full span for this trace id")
+    query.add_argument("--kind", default=None,
+                       help="print only events of this kind")
+    query.add_argument("--last", type=int, default=None,
+                       help="print only the last N events")
+    query.add_argument("--find-lifecycle", default=None, metavar="KINDS",
+                       help="comma-separated event kinds; find and print one "
+                            "trace whose span covers all of them (exit 1 if "
+                            "none does)")
+    query.add_argument("--json", action="store_true",
+                       help="emit events as JSON lines instead of columns")
+
     chaos = sub.add_parser(
-        "chaos", help="deterministic fault-injection soak (tri-state check)")
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--ops", type=int, default=2000)
-    chaos.add_argument("--records", type=int, default=200)
+        "chaos", parents=[scenario],
+        help="deterministic fault-injection soak (tri-state check)")
     chaos.add_argument("--tamper-every", type=int, default=None,
                        help="also tamper every N ops and demand detection")
-    chaos.add_argument("--server", action="store_true",
-                       help="drive ops through the resilient serving "
-                            "pipeline (admission queue, deadlines, "
-                            "idempotent retry, circuit breaker, "
-                            "degraded mode) with its fault points armed")
-    chaos.add_argument("--failover", action="store_true",
-                       help="attach a warm standby (implies --server), arm "
-                            "the replication fault points, and kill the "
-                            "primary enclave twice mid-run so recovery "
-                            "goes through verified failover")
-    chaos.add_argument("--standbys", type=int, default=1,
-                       help="replication-group size in --failover mode; "
-                            "above 1 the soak arms the correlated "
-                            "same-tick primary+standby double kill and "
-                            "the lease-partition point, and demands "
-                            "post-soak convergence to a single leased "
-                            "leader")
-    chaos.add_argument("--batched", action="store_true",
-                       help="run the serving loop with group commit on "
-                            "(implies --server): ops travel in bursts, "
-                            "each settled by one multi-shard ecall, and "
-                            "the oracle resolves put outcomes through "
-                            "the idempotency table")
-    chaos.add_argument("--pipelined", action="store_true",
-                       help="pipeline the group commit (implies --batched): "
-                            "per-shard flushes dispatch without resolving "
-                            "tickets and their receipts stream back across "
-                            "the following pumps; the burst loop drains "
-                            "until every ticket settles")
-    chaos.add_argument("--scrub", action="store_true",
-                       help="arm the background integrity scrubber plus the "
-                            "latent-rot fault points (device bitrot, "
-                            "checkpoint-blob rot, repair failures); the "
-                            "soak must end scrub-converged with zero "
-                            "quarantined pages")
-    chaos.add_argument("--obs", action="store_true",
-                       help="arm the full observability pipeline: the SLO "
-                            "burn-rate engine on the server (tight p99 "
-                            "budget, so a stressed soak deterministically "
-                            "fires) with the alert tallies and the "
-                            "exemplar digest folded into the run digest")
     chaos.add_argument("--spool-dir", default=None, metavar="DIR",
                        help="persist the trace spool's JSONL segments to "
                             "DIR (query later with 'repro obs replay "
@@ -126,14 +120,14 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--check-deterministic", action="store_true",
                        help="run twice and require identical digests")
     chaos.add_argument("--redteam", nargs="?", const="all", default=None,
-                       metavar="TOPOLOGY",
+                       metavar="CELLS",
                        help="run the distributed byzantine red-team matrix "
                             "instead of the random-fault soak: active "
                             "rollback/fork, receipt replay, split-brain, "
                             "double-lease courting, stale-replica replay, "
                             "shipping-fork, and dedup/batch tampering "
                             "campaigns, every one required to be detected. "
-                            "TOPOLOGY is all (default), or a comma list of "
+                            "CELLS is all (default), or a comma list of "
                             "direct, server, batched, failover, pipelined")
     chaos.add_argument("--json", action="store_true",
                        help="emit the report as machine-readable JSON "
@@ -189,66 +183,27 @@ def _build_parser() -> argparse.ArgumentParser:
                           "on any problem")
 
     tr = sub.add_parser(
-        "trace",
+        "trace", parents=[scenario, query],
         help="run a chaos scenario and query the span-based trace ring")
-    tr.add_argument("--seed", type=int, default=7)
-    tr.add_argument("--ops", type=int, default=2000)
-    tr.add_argument("--records", type=int, default=200)
     tr.add_argument("--tamper-every", type=int, default=None)
-    tr.add_argument("--server", action="store_true")
-    tr.add_argument("--failover", action="store_true")
-    tr.add_argument("--batched", action="store_true")
-    tr.add_argument("--pipelined", action="store_true")
-    tr.add_argument("--trace", default=None,
-                    help="print the full span for this trace id")
-    tr.add_argument("--kind", default=None,
-                    help="print only events of this kind")
-    tr.add_argument("--last", type=int, default=None,
-                    help="print the last N events in the ring")
-    tr.add_argument("--find-lifecycle", default=None, metavar="KINDS",
-                    help="comma-separated event kinds; find and print one "
-                         "trace whose span covers all of them (exit 1 if "
-                         "none does)")
-    tr.add_argument("--json", action="store_true",
-                    help="emit events as JSON lines instead of columns")
 
     obs = sub.add_parser(
-        "obs",
+        "obs", parents=[scenario, query],
         help="persistent observability pipeline: spool tail/replay and "
              "SLO burn-rate reports")
     obs.add_argument("action", choices=["tail", "replay", "slo-report"],
                      help="tail: run a scenario and print the spool's "
                           "last events; replay: read a persisted spool "
                           "cold and query it (running a scenario first "
-                          "unless --existing); slo-report: run an "
-                          "SLO-armed scenario and print the burn-rate "
-                          "and exemplar report")
-    obs.add_argument("--seed", type=int, default=7)
-    obs.add_argument("--ops", type=int, default=2000)
-    obs.add_argument("--records", type=int, default=200)
-    obs.add_argument("--server", action="store_true")
-    obs.add_argument("--failover", action="store_true")
-    obs.add_argument("--batched", action="store_true")
-    obs.add_argument("--pipelined", action="store_true")
-    obs.add_argument("--scrub", action="store_true")
+                          "unless --existing); slo-report: run the "
+                          "scenario with '+slo' armed and print the "
+                          "burn-rate and exemplar report")
     obs.add_argument("--dir", default=None, metavar="DIR",
                      help="spool directory: written by the scenario run, "
                           "or read cold with --existing")
     obs.add_argument("--existing", action="store_true",
                      help="replay only: skip the scenario run and read "
                           "the spool already persisted in --dir")
-    obs.add_argument("--trace", default=None,
-                     help="print the full span for this trace id")
-    obs.add_argument("--kind", default=None,
-                     help="print only events of this kind")
-    obs.add_argument("--last", type=int, default=None,
-                     help="print only the last N events")
-    obs.add_argument("--find-lifecycle", default=None, metavar="KINDS",
-                     help="comma-separated event kinds; find and print "
-                          "one trace whose spooled span covers all of "
-                          "them (exit 1 if none does)")
-    obs.add_argument("--json", action="store_true",
-                     help="emit events as JSON lines instead of columns")
     return parser
 
 
@@ -414,73 +369,34 @@ def cmd_chaos(args) -> int:
     if args.redteam is not None:
         return cmd_redteam(args)
 
+    topology = args.topology
+
     def once():
         return run_chaos(seed=args.seed, ops=args.ops, records=args.records,
-                         tamper_every=args.tamper_every, server=args.server,
-                         failover=args.failover, batched=args.batched,
-                         standbys=args.standbys, scrub=args.scrub,
-                         pipelined=args.pipelined, obs=args.obs,
+                         tamper_every=args.tamper_every, topology=topology,
                          spool_dir=args.spool_dir)
 
     report = once()
-    mode = ("failover" if args.failover
-            else "pipelined group commit" if args.pipelined
-            else "batched server pipeline" if args.batched
-            else "server pipeline" if args.server else "direct")
     if args.json:
+        import dataclasses
         import json
-        print(json.dumps({
-            "seed": report.seed,
-            "mode": mode,
-            "ops_attempted": report.ops_attempted,
-            "ops_ok": report.ops_ok,
-            "availability_errors": report.availability_errors,
-            "recoveries": report.recoveries,
-            "salvages": report.salvages,
-            "failovers": report.failovers,
-            "integrity_detections": report.integrity_detections,
-            "receipts_dropped": report.receipts_dropped,
-            "shipped_batches": report.shipped_batches,
-            "repl_rejects": report.repl_rejects,
-            "standbys": report.standbys,
-            "delta_resyncs": report.delta_resyncs,
-            "snapshot_resyncs": report.snapshot_resyncs,
-            "lease_expiries": report.lease_expiries,
-            "leader_converged": report.leader_converged,
-            "scrub_pages": report.scrub_pages,
-            "scrub_mismatches": report.scrub_mismatches,
-            "scrub_repairs": report.scrub_repairs,
-            "scrub_converged": report.scrub_converged,
-            "pipelined": report.pipelined,
-            "pipelined_batches": report.pipelined_batches,
-            "quarantined_final": report.quarantined_final,
-            "provisional_serves": report.provisional_serves,
-            "repair_ledger_digest": report.repair_ledger_digest,
-            "obs_armed": report.obs_armed,
-            "slo_alerts": report.slo_alerts,
-            "slo_firing": report.slo_firing,
-            "exemplar_digest": report.exemplar_digest,
-            "spool_events": report.spool_events,
-            "spool_replay_ok": report.spool_replay_ok,
-            "unrecoverable": report.unrecoverable,
-            "fault_fires": report.fault_fires,
-            "hard_failures": report.hard_failures,
-            "trace_digest": report.trace_digest,
-            "digest": report.digest(),
-            "ok": report.ok,
-        }, indent=2, sort_keys=True))
+        fields = dataclasses.asdict(report)
+        del fields["forensics"]  # written to its own file below
+        print(json.dumps(dict(fields, mode=str(topology), ok=report.ok,
+                              digest=report.digest()),
+                         indent=2, sort_keys=True))
     else:
-        print(f"chaos seed={report.seed} mode={mode} "
+        print(f"chaos seed={report.seed} mode={topology} "
               f"ops={report.ops_attempted} ok={report.ops_ok}")
         print(f"availability errors  {report.availability_errors}")
         print(f"recoveries           {report.recoveries} "
               f"(salvages {report.salvages}, failovers {report.failovers})")
         print(f"integrity detections {report.integrity_detections}")
         print(f"receipts dropped     {report.receipts_dropped}")
-        if args.pipelined:
+        if report.pipelined:
             print(f"pipelined batches    {report.pipelined_batches} "
                   f"dispatched with streamed settlement")
-        if args.failover:
+        if topology.standbys:
             print(f"shipped batches      {report.shipped_batches} "
                   f"(channel rejects {report.repl_rejects})")
             print(f"group resyncs        {report.delta_resyncs} delta, "
@@ -490,7 +406,7 @@ def cmd_chaos(args) -> int:
             if not report.leader_converged:
                 print("LEADER NOT CONVERGED: the group did not settle on "
                       "a single leased leader after the soak")
-        if args.scrub:
+        if topology.scrub:
             print(f"scrub                {report.scrub_pages} pages, "
                   f"{report.scrub_mismatches} quarantined, "
                   f"{report.scrub_repairs} repaired "
@@ -504,7 +420,7 @@ def cmd_chaos(args) -> int:
               f"(replay {'ok' if report.spool_replay_ok else 'BROKEN'}"
               + (f", persisted to {args.spool_dir}" if args.spool_dir
                  else "") + ")")
-        if args.obs:
+        if topology.slo:
             print(f"slo                  {report.slo_alerts} alert(s) fired"
                   + (f", still firing: {', '.join(report.slo_firing)}"
                      if report.slo_firing else ", none firing at end"))
@@ -531,13 +447,7 @@ def cmd_chaos(args) -> int:
               f"--ops {args.ops} --records {args.records}"
               + (f" --tamper-every {args.tamper_every}"
                  if args.tamper_every else "")
-              + (" --server" if args.server else "")
-              + (" --failover" if args.failover else "")
-              + (f" --standbys {args.standbys}" if args.standbys != 1 else "")
-              + (" --batched" if args.batched else "")
-              + (" --pipelined" if args.pipelined else "")
-              + (" --scrub" if args.scrub else "")
-              + (" --obs" if args.obs else ""))
+              + f" --topology {topology}")
         return 1
     if args.check_deterministic:
         second = once()
@@ -756,71 +666,55 @@ def _print_events(events, as_json: bool) -> None:
             print(f"{event.ts:>12.1f} {event.kind:<9} {trace:<16} {detail}")
 
 
-def cmd_trace(args) -> int:
-    from repro.faults.chaos import run_chaos
-    from repro.obs import TRACER
-
-    run_chaos(seed=args.seed, ops=args.ops, records=args.records,
-              tamper_every=args.tamper_every, server=args.server,
-              failover=args.failover, batched=args.batched,
-              pipelined=args.pipelined)
-    print(f"# trace ring: {len(TRACER)} events held, "
-          f"{TRACER.dropped} dropped (capacity {TRACER.capacity})")
+def _query(source, args, noun: str) -> int:
+    """Answer the --find-lifecycle / --trace / --kind / --last filters
+    from ``source`` (the ring, a live spool, or a cold spool reader)."""
     if args.find_lifecycle:
         kinds = {k.strip() for k in args.find_lifecycle.split(",") if k.strip()}
-        trace = TRACER.find_lifecycle(kinds)
+        trace = source.find_lifecycle(kinds)
         if trace is None:
-            print(f"no trace covers all of: {sorted(kinds)}")
+            print(f"no {noun}trace covers all of: {sorted(kinds)}")
             return 1
         print(f"# lifecycle trace {trace} covers {sorted(kinds)}:")
-        _print_events(TRACER.lifecycle(trace), args.json)
+        _print_events(source.lifecycle(trace), args.json)
         return 0
-    events = TRACER.events(trace=args.trace, kind=args.kind, last=args.last)
+    events = source.events(trace=args.trace, kind=args.kind, last=args.last)
     if not events:
-        print("no events matched the filter")
+        print(f"no {noun}events matched the filter")
         return 1
     _print_events(events, args.json)
     return 0
 
 
+def cmd_trace(args) -> int:
+    from repro.faults.chaos import run_chaos
+    from repro.obs import TRACER
+
+    run_chaos(seed=args.seed, ops=args.ops, records=args.records,
+              tamper_every=args.tamper_every, topology=args.topology)
+    print(f"# trace ring: {len(TRACER)} events held, "
+          f"{TRACER.dropped} dropped (capacity {TRACER.capacity})")
+    return _query(TRACER, args, "")
+
+
 def cmd_obs(args) -> int:
     """The ``obs`` command: spool tail/replay and SLO burn-rate reports."""
+    import dataclasses
+
+    from repro.faults.chaos import run_chaos
     from repro.obs import LATENCIES, TRACER
     from repro.obs.sink import SpoolReader, replay_fidelity
 
-    def run_scenario(obs_armed: bool):
-        from repro.faults.chaos import run_chaos
+    def run_scenario(topology=args.topology):
         return run_chaos(seed=args.seed, ops=args.ops, records=args.records,
-                         server=args.server, failover=args.failover,
-                         batched=args.batched, pipelined=args.pipelined,
-                         scrub=args.scrub, obs=obs_armed,
-                         spool_dir=args.dir)
-
-    def query(source) -> int:
-        if args.find_lifecycle:
-            kinds = {k.strip() for k in args.find_lifecycle.split(",")
-                     if k.strip()}
-            trace = source.find_lifecycle(kinds)
-            if trace is None:
-                print(f"no spooled trace covers all of: {sorted(kinds)}")
-                return 1
-            print(f"# lifecycle trace {trace} covers {sorted(kinds)}:")
-            _print_events(source.lifecycle(trace), args.json)
-            return 0
-        events = source.events(trace=args.trace, kind=args.kind,
-                               last=args.last)
-        if not events:
-            print("no spooled events matched the filter")
-            return 1
-        _print_events(events, args.json)
-        return 0
+                         topology=topology, spool_dir=args.dir)
 
     if args.action == "tail":
-        run_scenario(obs_armed=False)
+        run_scenario()
         spool = TRACER.sink
         print(f"# spool: {spool.stats()}")
         if args.trace or args.kind or args.find_lifecycle:
-            return query(spool)
+            return _query(spool, args, "spooled ")
         _print_events(spool.last(args.last if args.last is not None
                                  else 20), args.json)
         return 0
@@ -830,7 +724,7 @@ def cmd_obs(args) -> int:
             print("obs replay needs --dir (the spool directory)")
             return 2
         if not args.existing:
-            run_scenario(obs_armed=False)
+            run_scenario()
         try:
             reader = SpoolReader(args.dir)
         except FileNotFoundError as exc:
@@ -846,14 +740,14 @@ def cmd_obs(args) -> int:
             print("# replay fidelity: every live span reconstructed "
                   "from disk")
         if args.trace or args.kind or args.find_lifecycle or args.last:
-            return query(reader)
+            return _query(reader, args, "spooled ")
         return 0
 
     # slo-report: run the scenario with the SLO engine armed.
-    report = run_scenario(obs_armed=True)
-    print(f"slo report (chaos seed={args.seed}, "
-          f"{'server' if args.server or args.batched or args.failover or args.pipelined else 'direct'} "
-          f"mode, {args.ops} ops)")
+    topology = dataclasses.replace(args.topology, slo=True)
+    report = run_scenario(topology)
+    print(f"slo report (chaos seed={args.seed}, mode={topology}, "
+          f"{args.ops} ops)")
     print(f"alerts fired         {report.slo_alerts}")
     print(f"firing at end        "
           f"{', '.join(report.slo_firing) if report.slo_firing else '-'}")

@@ -116,19 +116,26 @@ class RetryingClient:
         return result
 
     # ------------------------------------------------------------------
-    def _envelope(self, kind: str, key: int | bytes,
-                  payload: bytes | None,
-                  trace: str | None = None,
-                  max_stale_epochs: int | None = None) -> ServerRequest:
+    def envelope(self, kind: str, key: int | bytes,
+                 payload: bytes | None = None,
+                 trace: str | None = None,
+                 max_stale_epochs: int | None = None,
+                 generation: int | None = None) -> ServerRequest:
+        """Sign one operation and wrap it for the wire: a fresh nonce,
+        the server's default deadline from now, the key's shard, and this
+        endpoint's leadership generation (or ``generation``, for drivers
+        that submit tickets themselves and track the leader on their
+        own)."""
         bk = self.server.bitkey(key)
         if kind == "get":
             op = self.client.make_get(bk)
         else:
             op = self.client.make_put(bk, payload)
         deadline = self.server.now + self.server.config.default_deadline
-        return ServerRequest(kind, op, deadline, worker=bk.bits,
-                             generation=self.generation, trace=trace,
-                             max_stale_epochs=max_stale_epochs)
+        return ServerRequest(
+            kind, op, deadline, worker=bk.bits,
+            generation=self.generation if generation is None else generation,
+            trace=trace, max_stale_epochs=max_stale_epochs)
 
     def _follow_redirect(self, request: ServerRequest) -> None:
         """Adopt the new leadership generation and its fence receipt: the
@@ -251,8 +258,8 @@ class RetryingClient:
              max_stale_epochs: int | None = None) -> ServerResult:
         self._trace_seq += 1
         trace = f"c{self.client.client_id}-{self._trace_seq}"
-        request = self._envelope(kind, key, payload, trace,
-                                 max_stale_epochs)
+        request = self.envelope(kind, key, payload, trace,
+                                max_stale_epochs)
         last: Exception | None = None
         for attempt, delay in enumerate(self.policy.delays()):
             self.policy.sleep(delay)
@@ -288,8 +295,8 @@ class RetryingClient:
                                      expected_nonce=request.nonce)
                 if status == "pending":
                     continue
-                request = self._envelope(kind, key, payload, trace,
-                                         max_stale_epochs)
+                request = self.envelope(kind, key, payload, trace,
+                                        max_stale_epochs)
                 continue
             except AvailabilityError as exc:
                 last = exc
@@ -303,8 +310,8 @@ class RetryingClient:
                     continue  # queued behind a recovery: poll, don't fork
                 # "unknown": provably never applied — a fresh envelope
                 # (fresh nonce, fresh deadline) is safe and necessary.
-                request = self._envelope(kind, key, payload, trace,
-                                         max_stale_epochs)
+                request = self.envelope(kind, key, payload, trace,
+                                        max_stale_epochs)
         resolved = self.server.cancel(request.client_id, request.nonce)
         if resolved is not None:
             return self._vet(resolved, trace,

@@ -186,6 +186,22 @@ class VerifyReport:
     receipts: dict[int, EpochReceipt] = field(repr=False, default_factory=dict)
 
 
+def data_items(store, width: int) -> list[tuple[int, bytes]]:
+    """The data records of ``store`` as sorted ``(key bits, payload)``
+    pairs: full-width keys only (Merkle plumbing and anchors are rebuilt
+    by a fresh load), tombstones dropped."""
+    items: list[tuple[int, bytes]] = []
+    for key, value, _aux in store.items():
+        if key.length != width:
+            continue
+        payload = getattr(value, "payload", None)
+        if payload is None:
+            continue
+        items.append((key.bits, payload))
+    items.sort()
+    return items
+
+
 class FastVer:
     """The verified key-value store."""
 
@@ -235,6 +251,7 @@ class FastVer:
         self.receipt_channel = ReceiptChannel()
         #: Most recent successful checkpoint (the default recovery point).
         self.last_checkpoint: FastVerCheckpoint | None = None
+        self._ckpt_version = 0
         self._load(items or [])
 
     #: Bounded retry budget for transient enclave call-gate failures
@@ -1251,7 +1268,7 @@ class FastVer:
         for mirror, expected in zip(self.mirrors, self._expected_evicts):
             if expected:
                 raise ProtocolError("checkpoint with unconfirmed predictions")
-        self._ckpt_version = getattr(self, "_ckpt_version", 0) + 1
+        self._ckpt_version += 1
         from repro.store.checkpoint import take_checkpoint
         token = take_checkpoint(self.store, self._ckpt_version,
                                 faults=self.faults)
@@ -1351,8 +1368,6 @@ class FastVer:
             for key, value in entries:
                 if key.is_root:
                     mirror.add(key, value, VIA_PINNED, None)
-                elif key in self.anchors or not isinstance(value, MerkleValue):
-                    mirror.add(key, value, VIA_DEFERRED, None)
                 else:
                     mirror.add(key, value, VIA_DEFERRED, None)
                 self.cached_where[key] = vid
@@ -1537,17 +1552,7 @@ class FastVer:
         Deleted records (tombstones) are omitted; Merkle plumbing and
         anchors are excluded — a fresh load rebuilds them.
         """
-        width = self.config.key_width
-        items: list[tuple[int, bytes]] = []
-        for key, value, _aux in self.store.items():
-            if key.length != width:
-                continue
-            payload = getattr(value, "payload", None)
-            if payload is None:
-                continue
-            items.append((key.bits, payload))
-        items.sort()
-        return items
+        return data_items(self.store, self.config.key_width)
 
     def fence_to(self, target: int) -> int:
         """Close epochs until ``current_epoch >= target`` (promotion fence).

@@ -23,15 +23,14 @@ in the CLI runs it both ways and compares).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.adversary.host import tamper_value
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.core.fastver import FastVer, data_items
 from repro.errors import (
     AvailabilityError,
     IntegrityError,
+    NotLeaderError,
     RecoveryError,
     RepairForgeryError,
     UnrecoverableError,
@@ -41,7 +40,10 @@ from repro.instrument import COUNTERS
 from repro.obs import LATENCIES, TRACER
 from repro.obs import reset as obs_reset
 from repro.obs.sink import TraceSpool, replay_fidelity
+from repro.obs.slo import SloConfig
+from repro.scrub import Scrubber
 from repro.store.recovery import rebuild_index_from_log
+from repro.topology import Topology, build
 from repro.workloads.ycsb import OP_GET, OP_PUT, WORKLOADS, YcsbGenerator
 
 #: Default benign fault mix: every point exercised, rates low enough that
@@ -59,7 +61,7 @@ DEFAULT_SPECS = {
     "receipt.reorder": 0.02,
 }
 
-#: ``--server`` mode adds the serving-layer boundaries: shed admissions,
+#: A served topology adds the serving-layer boundaries: shed admissions,
 #: lossy wire both ways, spurious breaker trips, stalled heal attempts.
 SERVER_SPECS = dict(DEFAULT_SPECS, **{
     "server.queue.shed": 0.002,
@@ -69,7 +71,7 @@ SERVER_SPECS = dict(DEFAULT_SPECS, **{
     "server.supervisor.stall": 0.25,
 })
 
-#: ``--failover`` mode arms the replication channel on top of the server
+#: ``failover`` arms the replication channel on top of the server
 #: mix: lossy/corrupting/reordering shipment delivery, standby lag
 #: spikes, and (added per-run with explicit encounter indices, so every
 #: soak exercises it) the primary-enclave kill that forces promotion.
@@ -80,7 +82,7 @@ FAILOVER_SPECS = dict(SERVER_SPECS, **{
     "repl.standby.lag": 0.01,
 })
 
-#: With a replication group (``--standbys`` > 1) the soak also arms a
+#: With a replication group (``failover:N``, N > 1) the soak also arms a
 #: *correlated* standby kill — pinned to the same encounter indices as
 #: ``repl.primary.kill``, and both points are consulted exactly once per
 #: replication pump in a fixed order, so they land in the same tick: the
@@ -91,7 +93,7 @@ QUORUM_EXTRA_SPECS = {
     "repl.lease.partition": 0.01,
 }
 
-#: ``--scrub`` mode arms *latent* corruption on top of whichever mix the
+#: ``scrub`` arms *latent* corruption on top of whichever mix the
 #: topology selected: silent bit rot on device reads (persisted — every
 #: later read sees it), rot-at-rest in the retained checkpoint blob, and
 #: injected failures of individual repair attempts. Bounded by
@@ -103,6 +105,37 @@ SCRUB_EXTRA_SPECS = {
     "checkpoint.blob.bitrot": FaultSpec(probability=0.002, max_fires=2),
     "scrub.repair.fail": FaultSpec(probability=0.25, max_fires=2),
 }
+
+
+#: ``+slo`` arms these objectives on the server. The tight p99 budget is
+#: deliberate: a chaos soak's recovery stalls push verified latencies far
+#: past it, so every such soak demonstrably fires a deterministic
+#: burn-rate alert whose exemplar-backed lifecycle the acceptance test
+#: reconstructs from the persisted spool alone.
+CHAOS_SLO = SloConfig(verified_p99_budget=64.0)
+
+
+def fault_specs(topology: Topology, ops: int) -> dict:
+    """The fault mix a topology arms (docs/PROTOCOL.md, "Topologies")."""
+    if topology.standbys:
+        specs = dict(FAILOVER_SPECS)
+        # Kill the primary enclave at fixed points mid-run so every
+        # failover soak exercises promotion (twice: the re-attached
+        # standby absorbs a double failover).
+        kills = (max(1, ops // 3), max(2, 2 * ops // 3))
+        specs["repl.primary.kill"] = FaultSpec(at_counts=kills)
+        if topology.standbys > 1:
+            # Correlated double-kill: same encounter indices, and the
+            # manager draws both points once per pump in fixed order,
+            # so the standby dies in the very tick the primary does —
+            # promotion must ride on the surviving quorum.
+            specs["repl.standby.kill"] = FaultSpec(at_counts=kills)
+            specs.update(QUORUM_EXTRA_SPECS)
+    else:
+        specs = dict(SERVER_SPECS if topology.served else DEFAULT_SPECS)
+    if topology.scrub:
+        specs.update(SCRUB_EXTRA_SPECS)
+    return specs
 
 
 @dataclass
@@ -117,14 +150,14 @@ class ChaosReport:
     salvages: int = 0
     integrity_detections: int = 0
     receipts_dropped: int = 0
-    #: Heal sessions resolved by promoting the warm standby (--failover).
+    #: Heal sessions resolved by promoting the warm standby (``failover``).
     failovers: int = 0
     #: Authenticated shipments the primary packaged for the standby.
     shipped_batches: int = 0
     #: Shipments the standby's enclave rejected (drop/reorder/corrupt —
     #: each one retransmitted; rejects are the *detection* count).
     repl_rejects: int = 0
-    #: Replication group size the soak ran with (--standbys).
+    #: Replication group size the soak ran with (``failover:N``).
     standbys: int = 1
     #: Lagging/rejoining members caught up via tail redelivery.
     delta_resyncs: int = 0
@@ -137,13 +170,13 @@ class ChaosReport:
     leader_converged: bool = True
     #: The recovery ladder ran out of rungs (UnrecoverableError).
     unrecoverable: bool = False
-    #: The soak ran with the background scrubber armed (--scrub).
+    #: The soak ran with the background scrubber armed (``scrub``).
     scrub: bool = False
     #: The soak ran the batched loop with pipelined settlement
-    #: (--pipelined): per-shard flushes dispatch without resolving
+    #: (``pipelined``): per-shard flushes dispatch without resolving
     #: tickets; receipts stream back across the following pumps.
     pipelined: bool = False
-    #: Shard batches dispatched as pipelined ecalls (--pipelined only).
+    #: Shard batches dispatched as pipelined ecalls (``pipelined`` only).
     pipelined_batches: int = 0
     #: Device pages the scrubber re-verified.
     scrub_pages: int = 0
@@ -153,7 +186,7 @@ class ChaosReport:
     scrub_repairs: int = 0
     #: Post-soak convergence: with the faults disarmed, one full scrub
     #: pass found nothing and the quarantine drained to zero. False is a
-    #: hard failure in --scrub mode.
+    #: hard failure under ``scrub``.
     scrub_converged: bool = True
     #: Pages still quarantined when the soak ended (must be 0).
     quarantined_final: int = 0
@@ -164,17 +197,17 @@ class ChaosReport:
     #: serve that reaches a clean settlement is a hard failure.
     provisional_serves: int = 0
     #: Digest of the repair ledger (every quarantine/repair decision) —
-    #: part of the determinism check in --scrub mode.
+    #: part of the determinism check under ``scrub``.
     repair_ledger_digest: str = ""
-    #: The soak armed the full observability pipeline (--obs): SLO
+    #: The soak armed the full observability pipeline (``slo``): SLO
     #: engine on the server, exemplar digest folded into the run digest.
     obs_armed: bool = False
-    #: Objectives that started firing during the soak (--obs, server
+    #: Objectives that started firing during the soak (``slo``, served
     #: modes; 0 elsewhere).
     slo_alerts: int = 0
     #: Objectives still firing when the soak ended, sorted.
     slo_firing: list = field(default_factory=list)
-    #: Digest of the retained exemplar set (--obs; folded into digest).
+    #: Digest of the retained exemplar set (``slo``; folded into digest).
     exemplar_digest: str = ""
     #: Events the persistent spool retained (spools attach in every
     #: soak; the ring is just its cache).
@@ -223,7 +256,7 @@ class ChaosReport:
         if self.obs_armed:
             # Opt-in fold (same pattern): exemplar selection and the SLO
             # alert sequence are deterministic per seed, so they join
-            # the reproducibility contract — but only in --obs runs.
+            # the reproducibility contract — but only in ``slo`` runs.
             h.update(f"slo_alerts={self.slo_alerts};".encode())
             h.update(("slo_firing=" + ",".join(self.slo_firing)
                       + ";").encode())
@@ -241,7 +274,7 @@ class _ChaosRun:
     MAX_RECOVER_ATTEMPTS = 3
     VERIFY_EVERY = 250
 
-    #: Burst width in --batched mode: ops accumulated before one pump.
+    #: Burst width in batched topologies: ops accumulated before one pump.
     BURST = 4
 
     #: Direct-mode scrub cadence: one budgeted scrub slice every N ops
@@ -253,60 +286,25 @@ class _ChaosRun:
 
     def __init__(self, seed: int, ops: int, records: int,
                  plan: FaultPlan | None, tamper_every: int | None,
-                 server: bool = False, failover: bool = False,
-                 batched: bool = False, standbys: int = 1,
-                 scrub: bool = False, pipelined: bool = False,
-                 obs: bool = False):
-        batched = batched or pipelined  # pipelined implies group commit
+                 topology: Topology = Topology()):
         self.seed = seed
         self.n_ops = ops
         self.n_records = records
-        self.n_standbys = standbys
-        self.scrub_mode = scrub
-        self.obs_mode = obs
-        if plan is not None:
-            self.plan = plan
-        elif failover:
-            specs = dict(FAILOVER_SPECS)
-            # Kill the primary enclave at fixed points mid-run so every
-            # failover soak exercises promotion (twice: the re-attached
-            # standby absorbs a double failover).
-            kills = (max(1, ops // 3), max(2, 2 * ops // 3))
-            specs["repl.primary.kill"] = FaultSpec(at_counts=kills)
-            if standbys > 1:
-                # Correlated double-kill: same encounter indices, and the
-                # manager draws both points once per pump in fixed order,
-                # so the standby dies in the very tick the primary does —
-                # promotion must ride on the surviving quorum.
-                specs["repl.standby.kill"] = FaultSpec(at_counts=kills)
-                specs.update(QUORUM_EXTRA_SPECS)
-            if scrub:
-                specs.update(SCRUB_EXTRA_SPECS)
-            self.plan = FaultPlan(seed=seed, specs=specs)
-        else:
-            specs = dict(SERVER_SPECS if server or batched
-                         else DEFAULT_SPECS)
-            if scrub:
-                specs.update(SCRUB_EXTRA_SPECS)
-            self.plan = FaultPlan(seed=seed, specs=specs)
+        self.topology = topology
+        self.plan = plan if plan is not None else FaultPlan(
+            seed=seed, specs=fault_specs(topology, ops))
         self.tamper_every = tamper_every
-        self.server_mode = server or failover or batched
-        self.failover_mode = failover
-        self.batched_mode = batched
-        self.pipelined_mode = pipelined
-        #: Ops accumulated for the next group-commit pump (--batched).
+        #: Ops accumulated for the next group-commit pump (batched).
         self._burst: list[tuple] = []
-        self.server = None   # FastVerServer in --server mode
-        self.sdk = None      # RetryingClient in --server mode
-        self._db = None      # the database outside --server mode
+        self._scrubber = None  # standalone Scrubber under direct ``scrub``
         self._seen_heals = 0
-        self._scrubber = None  # standalone Scrubber in direct --scrub mode
         #: Rot-damaged answers served provisionally (§7 deferred reads):
         #: each must be refuted by a detection or rolled back by a heal
         #: before the next clean settlement, or the run hard-fails.
         self._unsettled_serves: list[str] = []
-        self.report = ChaosReport(seed=seed, scrub=scrub,
-                                  pipelined=pipelined, obs_armed=obs)
+        self.report = ChaosReport(seed=seed, scrub=topology.scrub,
+                                  pipelined=topology.serving == "pipelined",
+                                  obs_armed=topology.slo)
         self.generator = YcsbGenerator(WORKLOADS["YCSB-A"], records,
                                        distribution="zipfian", theta=0.9,
                                        seed=seed)
@@ -324,94 +322,38 @@ class _ChaosRun:
     # ------------------------------------------------------------------
     @property
     def db(self) -> FastVer:
-        """The live database. In ``--server`` mode the server owns it (and
-        swaps it out during salvage), so always read through here."""
-        return self.server.db if self.server is not None else self._db
+        """The live database (a server swaps its own out during salvage
+        and promotion, so always read through here)."""
+        return self.stack.db
 
     def _provision(self, items: list[tuple[int, bytes]]) -> None:
-        """Build a fresh FastVer over ``items`` and take a clean baseline
-        checkpoint *before* faults are armed, so there is always a sane
-        recovery point. In ``--server`` mode, front it with the serving
-        pipeline and drive it through the retrying SDK."""
-        db = FastVer(
-            FastVerConfig(key_width=16, n_workers=2, partition_depth=3,
-                          cache_capacity=64),
-            items=items,
-        )
-        self.client = Client(self._next_client_id,
-                             MacKey.generate(f"chaos-{self._next_client_id}"))
+        """Build the topology's stack over ``items`` with its clean
+        baseline checkpoint taken (and its standbys bootstrapped)
+        *before* faults are armed, so there is always a sane recovery
+        point. A direct-mode scrubber repairs from the oracle's
+        expected-current map — standing in for an operator's external
+        backup, which is all a topology without a quorum group has — and
+        its audit trail survives re-provisioning."""
+        self.stack = build(
+            self.topology, items, seed=self.seed,
+            label=f"chaos-{self._next_client_id}",
+            client_id=self._next_client_id,
+            server={"slo": CHAOS_SLO}, salvage=self._vet_survivors,
+            promote=self._promote_hook)
+        self.client = self.stack.client
+        self.server = self.stack.server
+        self.sdk = self.stack.sdk
         self._next_client_id += 1
-        db.register_client(self.client)
         for k, payload in items:
             self.current[k] = payload
             self.history.setdefault(k, set()).add(payload)
-        db.verify()
-        db.checkpoint()
         self.committed = dict(self.current)
-        if self.server_mode:
-            from repro.backoff import BackoffPolicy
-            from repro.client import RetryingClient
-            from repro.server import FastVerServer, ServerConfig
-
-            cfg = ServerConfig()
-            if self.batched_mode:
-                # Small batches + a generous linger window: the soak's
-                # bursts fill shards within one pump, and every ticket
-                # resolves before the pump returns — or, in --pipelined
-                # mode, within the bounded settle drain that follows.
-                cfg = ServerConfig(group_commit=True, max_batch_ops=4,
-                                   max_batch_ticks=16.0,
-                                   pipeline=self.pipelined_mode)
-            if self.scrub_mode:
-                # Opt-in: existing (non-scrub) soak digests stay pinned.
-                cfg.scrub_enabled = True
-            if self.obs_mode:
-                # Opt-in SLO engine (same pattern). The tight p99 budget
-                # is deliberate: a chaos soak's recovery stalls push
-                # verified latencies far past it, so every --obs soak
-                # demonstrably fires a deterministic burn-rate alert
-                # whose exemplar-backed lifecycle the acceptance test
-                # reconstructs from the persisted spool alone.
-                from repro.obs.slo import SloConfig
-                cfg.slo = SloConfig(verified_p99_budget=64.0)
-            self.server = FastVerServer(
-                db, cfg,
-                salvage_hook=self._server_salvage_hook, warm=items)
-            if self.failover_mode:
-                # Standbys first, faults after: the bootstrap snapshots
-                # run clean, exactly like the baseline checkpoint above.
-                from repro.replication import ReplicationConfig
-                self.server.attach_standby(
-                    config=ReplicationConfig(n_standbys=self.n_standbys),
-                    promote_hook=self._promote_hook)
-            self.sdk = RetryingClient(
-                self.server, self.client,
-                policy=BackoffPolicy(max_attempts=5, base_delay=2.0,
-                                     max_delay=16.0, seed=self.seed))
-            self._seen_heals = 0
-        else:
-            self._db = db
-            if self.scrub_mode:
-                self._rebind_scrubber(db)
-        install_faults(db, self.plan)
-
-    def _rebind_scrubber(self, db: FastVer) -> None:
-        """Direct-mode scrubber over a (re-)provisioned database. The
-        repair source is the oracle's expected-current map — standing in
-        for an operator's external backup, which is all a topology
-        without a quorum group has. The audit trail survives
-        re-provisioning: the ledger and lifetime stats carry over."""
-        from repro.scrub import Scrubber
-        fresh = Scrubber(db, budget_pages=4,
-                         candidate_fn=self._model_candidate)
-        old = self._scrubber
-        if old is not None:
-            fresh.ledger = old.ledger
-            fresh.pages_checked = old.pages_checked
-            fresh.mismatches_found = old.mismatches_found
-            fresh.repairs_done = old.repairs_done
-            fresh.full_passes = old.full_passes
-        self._scrubber = fresh
+        self._seen_heals = 0
+        if self.topology.scrub and not self.topology.served:
+            self._scrubber = Scrubber(
+                self.db, budget_pages=4, candidate_fn=self._model_candidate,
+            ).inherit(self._scrubber)
+        install_faults(self.db, self.plan)
 
     def _model_candidate(self, key_bits: int) -> tuple[bool, bytes | None]:
         value = self.current.get(key_bits)
@@ -430,11 +372,13 @@ class _ChaosRun:
             # Rolled back: provisionally-served rot never settled.
             self._unsettled_serves.clear()
 
-    def _server_salvage_hook(self, items: list[tuple[int, bytes]]):
-        """Called by the server's lenient salvage with the records it
-        recovered: validate each against the write history (a value we
-        never wrote is fabrication — a hard failure) and rebase the oracle
-        on the survivors, which are the durable truth from here on."""
+    def _vet_survivors(self, items: list[tuple[int, bytes]]):
+        """Called by a lenient salvage (the server's, or :meth:`_salvage`)
+        with the records it recovered: validate each against the write
+        history (a value we never wrote is fabrication — a hard failure)
+        and rebase the oracle on the survivors, which are the durable
+        truth from here on (possibly stale, never fabricated; keys that
+        didn't survive are data loss, not lies)."""
         self.report.salvages += 1
         survivors: list[tuple[int, bytes]] = []
         for k, payload in items:
@@ -502,47 +446,24 @@ class _ChaosRun:
         self._salvage()
 
     def _salvage(self) -> None:
-        """The checkpoint is unusable: lenient-rebuild the log, validate
-        every survivor against the oracle's history (a value we never
-        wrote is fabrication — a hard failure), and re-provision."""
-        self.report.salvages += 1
+        """The checkpoint is unusable: lenient-rebuild the log, vet the
+        survivors against the oracle, and re-provision over them."""
         device = self.db.store.log.device
         device.faults = None  # the salvage read pass itself runs clean
+        width = self.db.config.key_width
         salvaged = rebuild_index_from_log(
             device, self.db.store.log.tail_address,
-            ordered_width=self.db.config.key_width, strict=False)
-        width = self.db.config.key_width
-        survivors: list[tuple[int, bytes]] = []
-        for key, value, _aux in salvaged.items():
-            if key.length != width:
-                continue  # merkle plumbing; the fresh instance rebuilds it
-            payload = getattr(value, "payload", None)
-            if payload is None:
-                continue
-            k = key.bits
-            if k in self.history and payload not in self.history[k]:
-                if self._latent_rot_fired():
-                    # Rot casualty, not fabrication: drop the damaged
-                    # record (data loss) — see _server_salvage_hook.
-                    continue
-                self.report.hard_failures.append(
-                    f"salvage fabrication: key {k} holds {payload!r}, "
-                    f"never written")
-                continue
-            survivors.append((k, payload))
-        # The salvaged snapshot (possibly stale, never fabricated) is the
-        # truth now; keys that didn't survive are data loss, not lies.
-        self.current = {}
-        self.committed = {}
+            ordered_width=width, strict=False)
+        survivors = self._vet_survivors(data_items(salvaged, width))
         self._unsettled_serves.clear()
-        self._provision(sorted(survivors))
+        self._provision(survivors)
 
     # ------------------------------------------------------------------
     # The op loop
     # ------------------------------------------------------------------
     def _maintain(self) -> None:
         """Periodic epoch close + checkpoint (the §7 durability cadence)."""
-        if self.batched_mode:
+        if self.topology.batched:
             # The maintain marker lands on a burst boundary, never inside
             # one — mirrors the server flushing open batches first.
             self._flush_burst()
@@ -575,7 +496,7 @@ class _ChaosRun:
             self._unsettled_serves.clear()
 
     def _one_op(self, kind: str, k: int, payload: bytes | None) -> None:
-        if self.batched_mode:
+        if self.topology.batched:
             self._burst.append((kind, k, payload))
             if len(self._burst) >= self.BURST:
                 self._flush_burst()
@@ -584,8 +505,8 @@ class _ChaosRun:
             self._one_op_server(kind, k, payload)
             return
         self.report.ops_attempted += 1
+        result = self.stack.op(k, payload, worker=k % 2)
         if kind == OP_GET:
-            result = self.db.get(self.client, k, worker=k % 2)
             expected = self.current.get(k)
             if result.payload != expected:
                 if not self._note_provisional_serve(
@@ -596,7 +517,6 @@ class _ChaosRun:
                         f"{result.payload!r}, oracle says {expected!r}")
                 return
         else:
-            self.db.put(self.client, k, payload, worker=k % 2)
             self.current[k] = payload
             self.history.setdefault(k, set()).add(payload)
         self.report.ops_ok += 1
@@ -616,10 +536,7 @@ class _ChaosRun:
             # later salvage may legitimately resurrect it.
             self.history.setdefault(k, set()).add(payload)
         try:
-            if kind == OP_GET:
-                result = self.sdk.get(k)
-            else:
-                result = self.sdk.put(k, payload)
+            result = self.stack.op(k, payload)
         except Exception:
             self._absorb_heals()
             raise
@@ -678,20 +595,13 @@ class _ChaosRun:
         burst, self._burst = self._burst, []
         if not burst:
             return
-        from repro.server import ServerRequest
         tickets: list[tuple] = []
         for kind, k, payload in burst:
             self.report.ops_attempted += 1
-            bk = self.server.bitkey(k)
             if kind == OP_PUT:
                 self.history.setdefault(k, set()).add(payload)
-                op = self.client.make_put(bk, payload)
-            else:
-                op = self.client.make_get(bk)
-            request = ServerRequest(
-                kind, op,
-                self.server.now + self.server.config.default_deadline,
-                worker=bk.bits, generation=self.server.generation)
+            request = self.sdk.envelope(kind, k, payload,
+                                        generation=self.server.generation)
             try:
                 ticket = self.server.submit(request)
             except AvailabilityError:
@@ -699,8 +609,7 @@ class _ChaosRun:
                 self.report.availability_errors += 1
                 continue
             tickets.append((kind, k, payload, ticket))
-        self.server.pump()
-        self._drain_pipeline(tickets)
+        self._pump_until_done(tickets)
         self._retry_fenced(tickets)
         pre = dict(self.current)
         self._absorb_heals()
@@ -751,9 +660,6 @@ class _ChaosRun:
         provably never applied, so its nonce is still fresh) under the
         current generation, and pump once more. Tickets are updated in
         place; a retry that fails again is classified like any other."""
-        from repro.errors import NotLeaderError
-        from repro.server import ServerRequest
-
         fenced = [i for i, (_, _, _, t) in enumerate(tickets)
                   if isinstance(t.error, NotLeaderError)]
         if not fenced:
@@ -765,10 +671,9 @@ class _ChaosRun:
         for i in fenced:
             kind, k, payload, ticket = tickets[i]
             old = ticket.request
-            request = ServerRequest(
-                kind, old.op,
-                self.server.now + self.server.config.default_deadline,
-                worker=old.worker, generation=generation, trace=old.trace)
+            request = replace(
+                old, generation=generation,
+                deadline=self.server.now + self.server.config.default_deadline)
             COUNTERS.retried += 1
             TRACER.record("retry", self.server.now, old.trace, attempt=1,
                           after="NotLeaderError")
@@ -779,22 +684,16 @@ class _ChaosRun:
             tickets[i] = (kind, k, payload, new_ticket)
             retried = True
         if retried:
-            self.server.pump()
-            self._drain_pipeline(tickets)
+            self._pump_until_done(tickets)
 
-    def _drain_pipeline(self, tickets: list) -> None:
-        """Pump until every burst ticket's streamed receipt settles.
-        Pipelined flushes resolve tickets on *later* pumps by design,
-        so the burst oracle below would otherwise see in-flight work as
-        unresolved. Bounded: a ticket still pending after the drain is
-        a genuine liveness bug, and the unresolved-ticket hard failure
-        in :meth:`_flush_burst` names it."""
-        if not self.pipelined_mode:
-            return
-        for _ in range(8):
-            if all(t.done for _, _, _, t in tickets):
-                return
-            self.server.pump()
+    def _pump_until_done(self, tickets: list) -> None:
+        """One pump, then — pipelined flushes resolve tickets on *later*
+        pumps by design — keep pumping until every streamed receipt
+        settles. A ticket still pending after the bounded drain is a
+        genuine liveness bug, and the unresolved-ticket hard failure in
+        :meth:`_flush_burst` names it."""
+        self.server.pump()
+        self.server.drain([t for _, _, _, t in tickets])
 
     def _tamper_round(self, k: int) -> None:
         """Scheduled tampering: corrupt the store, demand detection."""
@@ -853,14 +752,14 @@ class _ChaosRun:
             install_faults(self.db, self.plan)
 
     # ------------------------------------------------------------------
-    # Background scrub (--scrub)
+    # Background scrub (``scrub``)
     # ------------------------------------------------------------------
     def _latent_rot_fired(self) -> bool:
         """Whether injected latent corruption has actually landed yet. An
         IntegrityError is an *expected detection* only when it has — the
         tri-state rule ("alarms only under real tampering") otherwise
-        stands unchanged in --scrub mode."""
-        return self.scrub_mode and (
+        stands unchanged under ``scrub``."""
+        return self.topology.scrub and (
             self.plan.fires("device.read.bitrot")
             + self.plan.fires("checkpoint.blob.bitrot")) > 0
 
@@ -929,7 +828,7 @@ class _ChaosRun:
         return True
 
     def _check_scrub_convergence(self) -> None:
-        """The --scrub acceptance oracle: once the faults are disarmed,
+        """The ``scrub`` acceptance oracle: once the faults are disarmed,
         the scrubber must converge — a full pass finding nothing and the
         quarantine drained to zero. Anything left quarantined means a
         rotted page the repair path could not heal."""
@@ -953,9 +852,8 @@ class _ChaosRun:
                         # The heal may have salvaged (fresh database);
                         # disarm the boundary on whatever is live now.
                         install_faults(self.db, None)
-                    scrub = self.server.scrubber()
-                else:
-                    scrub = self._scrubber
+                scrub = (self.server.scrubber() if self.server is not None
+                         else self._scrubber)
                 try:
                     # Settle first: any rot-damaged answer still served
                     # provisionally must alarm at this epoch close (or
@@ -1063,7 +961,7 @@ class _ChaosRun:
                 break
             except AvailabilityError:
                 self.report.availability_errors += 1
-                # In --server mode the pipeline heals itself (supervisor +
+                # In a served topology the pipeline heals itself (supervisor +
                 # SDK); a typed failure here is a definitively-abandoned
                 # op, not a cue for harness-driven recovery.
                 if self.server is None and not self._try_recover(i):
@@ -1085,7 +983,7 @@ class _ChaosRun:
                     f"op {i} ({kind} {k}): untyped {type(exc).__name__}: "
                     f"{exc}")
                 break
-            if self.scrub_mode and self.server is None and \
+            if self.topology.scrub and self.server is None and \
                     (i + 1) % self.SCRUB_EVERY == 0:
                 if not self._scrub_pump_direct(i):
                     break
@@ -1115,7 +1013,7 @@ class _ChaosRun:
                             f"maintenance after op {i}: spurious "
                             f"{type(exc).__name__}: {exc}")
             if self.tamper_every and (i + 1) % self.tamper_every == 0:
-                if self.batched_mode:
+                if self.topology.batched:
                     try:
                         self._flush_burst()
                     except UnrecoverableError:
@@ -1123,7 +1021,7 @@ class _ChaosRun:
                         self.report.availability_errors += 1
                         break
                 self._tamper_round(k)
-        if self.batched_mode and self._burst:
+        if self.topology.batched and self._burst:
             try:
                 self._flush_burst()
             except UnrecoverableError:
@@ -1135,7 +1033,7 @@ class _ChaosRun:
             if self.plan.fires(point)
         }
         self.report.receipts_dropped = self.db.receipt_channel.dropped
-        if self.pipelined_mode and self.server is not None:
+        if self.report.pipelined:
             self.report.pipelined_batches = self.server.batches_pipelined
         if self.server is not None and self.server.replication is not None:
             self._check_convergence()  # may run one settling heal first
@@ -1143,11 +1041,11 @@ class _ChaosRun:
             self.report.failovers = self.server.supervisor.failovers
             self.report.shipped_batches = repl.shipped_batches
             self.report.repl_rejects = repl.rejects
-            self.report.standbys = self.n_standbys
+            self.report.standbys = self.topology.standbys
             self.report.delta_resyncs = repl.delta_resyncs
             self.report.snapshot_resyncs = repl.snapshot_resyncs
             self.report.lease_expiries = repl.lease_expiries
-        if self.scrub_mode:
+        if self.topology.scrub:
             self._check_scrub_convergence()
         self.report.trace_digest = self.plan.trace_digest()
         spool = TRACER.sink
@@ -1161,7 +1059,7 @@ class _ChaosRun:
                 self.report.hard_failures.append(
                     "trace spool failed replay fidelity: a span in the "
                     "ring is not reconstructable from the spool")
-        if self.obs_mode:
+        if self.topology.slo:
             self.report.exemplar_digest = LATENCIES.exemplar_digest()
             if self.server is not None and self.server._slo is not None:
                 self.report.slo_alerts = self.server._slo.alerts
@@ -1187,41 +1085,24 @@ class _ChaosRun:
 def run_chaos(seed: int = 7, ops: int = 2000, records: int = 200,
               plan: FaultPlan | None = None,
               tamper_every: int | None = None,
-              server: bool = False, failover: bool = False,
-              batched: bool = False, standbys: int = 1,
-              scrub: bool = False,
-              pipelined: bool = False,
-              obs: bool = False,
+              topology: Topology | str = Topology(),
               spool_dir: str | None = None) -> ChaosReport:
     """Run one chaos soak; see the module docstring for the contract.
 
-    ``server=True`` drives the workload through the full serving pipeline
-    (admission queue -> deadline -> idempotent dedup -> circuit breaker ->
-    FastVer) via the retrying client SDK, with the serving-layer fault
-    points armed on top of the storage/enclave mix; recovery is then the
-    *server's* job (supervisor watchdog + heal ladder), not the harness's.
-
-    ``failover=True`` (implies server mode) additionally attaches a warm
-    standby fed by authenticated log shipping, arms the ``repl.*`` fault
-    points, and schedules two primary-enclave kills mid-run, so recovery
-    is dominated by failover promotion; the oracle then also demands that
-    no acknowledged write is lost across a promotion and that no value
-    the workload never wrote appears in the promoted state.
-
-    ``batched=True`` (implies server mode) runs the serving loop with
-    group commit enabled: ops accumulate into bursts, each burst is
-    settled by one pump over per-shard batches, and the oracle resolves
-    put outcomes through the idempotency table (``cancel``), which stays
-    definitive under batched completion order.
-
-    ``pipelined=True`` (implies batched mode) additionally decouples
-    settlement from dispatch: per-shard flushes go out as pipelined
-    ecalls whose receipts stream back across the following pumps, so
-    the burst loop drains with extra pumps until every ticket settles.
-    The oracle is unchanged — streamed completion must be observably
-    equivalent to synchronous completion — and legacy (non-pipelined)
-    digests stay byte-identical because the report folds the pipelined
-    tallies into the digest only when the mode is armed.
+    ``topology`` (a :class:`~repro.topology.Topology` or its string
+    form) picks the stack under test, the fault mix armed against it and
+    the extra oracles the report asserts — the table in
+    docs/PROTOCOL.md, "Topologies", is the reference. In short: a served
+    topology drives the SDK -> server -> FastVer pipeline and leaves
+    recovery to the server's own heal ladder; ``batched`` / ``pipelined``
+    submit bursts and resolve puts through the idempotency table;
+    ``failover[:N]`` kills the primary twice mid-run (with a correlated
+    standby kill for N > 1) and demands leader convergence and no lost
+    acknowledged write; ``scrub`` arms latent rot and demands
+    convergence to zero quarantined pages; ``slo`` arms the burn-rate
+    engine. The scrub, pipelined and slo tallies fold into the digest
+    only when their term is present, so every other digest is untouched
+    by them.
 
     The observability layer (repro.obs) is reset at the start of each
     soak and a persistent trace spool is attached, so the trace ring and
@@ -1230,37 +1111,15 @@ def run_chaos(seed: int = 7, ops: int = 2000, records: int = 200,
     the *whole run* from the spool (bounded by retention, not by the
     ring). ``spool_dir`` persists the spool's segments to disk for
     ``python -m repro obs replay``. The spool is behaviorally inert —
-    attaching it changes no counter, latency, or event — so legacy
-    digests stay pinned.
-
-    ``obs=True`` additionally arms the SLO burn-rate engine on the
-    server (server modes; a tight p99 budget so a stressed soak
-    deterministically fires) and folds the alert tallies and the
-    exemplar digest into the run digest.
-
-    ``standbys`` sets the replication-group size in failover mode. Above
-    1, the soak arms the correlated same-tick primary+standby double
-    kill and the lease-partition point, and the report additionally
-    asserts post-soak leader convergence — exactly one live leased
-    leader once the group settles.
-
-    ``scrub=True`` arms *latent* corruption (persistent device bit rot,
-    checkpoint-blob rot at rest, injected repair failures) and runs the
-    background scrubber against it — in the serving loop in server
-    modes, as a standalone pump (repairing from the oracle model, the
-    stand-in for an operator's external backup) in direct mode. An
-    IntegrityError is then an accepted outcome *once rot has actually
-    fired* (the verifier caught the rot on touch); the report gains the
-    scrub/repair tallies and the repair-ledger digest; and the run ends
-    with a convergence check — faults disarmed, one clean full pass,
-    zero quarantined pages — whose failure is a hard failure.
+    attaching it changes no counter, latency, or event.
     """
+    if isinstance(topology, str):
+        topology = Topology.parse(topology)
     obs_reset()
     TRACER.attach_sink(TraceSpool(directory=spool_dir))
     try:
-        return _ChaosRun(seed, ops, records, plan, tamper_every, server,
-                         failover, batched, standbys, scrub, pipelined,
-                         obs).run()
+        return _ChaosRun(seed, ops, records, plan, tamper_every,
+                         topology).run()
     finally:
         if TRACER.sink is not None:
             TRACER.sink.flush()

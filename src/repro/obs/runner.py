@@ -16,18 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.fastver import FastVer, FastVerConfig
-from repro.core.protocol import Client
-from repro.crypto.mac import MacKey
+from repro.core.fastver import FastVerConfig
 from repro.instrument import COUNTERS, Counters
 from repro.obs import LATENCIES, TRACER, attribute_costs
 from repro.obs import reset as obs_reset
 from repro.obs.export import metrics_payload
 from repro.obs.sink import TraceSpool
-from repro.obs.slo import SloConfig
-from repro.server.pipeline import FastVerServer, ServerConfig, ServerRequest
 from repro.sim.metrics import MetricsBuilder, RunMetrics
-from repro.workloads.ycsb import OP_PUT, WORKLOADS, YcsbGenerator
+from repro.topology import Topology, build
+from repro.workloads.ycsb import WORKLOADS, YcsbGenerator
 
 #: A deadline that never expires (the metrics run measures latency, it
 #: does not inject faults).
@@ -80,34 +77,24 @@ def run_instrumented(records: int = 400, ops: int = 2000, seed: int = 7,
     # Full pipeline armed: the metrics export should exercise the spool
     # and SLO fields of the v2 schema, not emit nulls.
     TRACER.attach_sink(TraceSpool())
-    items = [(k, b"seed-%d" % k) for k in range(records)]
-    db = FastVer(
-        FastVerConfig(key_width=32, n_workers=n_workers, partition_depth=3,
-                      cache_capacity=256, log_capacity=2048,
-                      batch_ops=None),
-        items=items)
-    client = Client(1, MacKey.generate(f"metrics-{seed}"))
-    db.register_client(client)
-    db.verify()
-    db.checkpoint()
-    server = FastVerServer(db, ServerConfig(
-        group_commit=True, max_batch_ops=batch,
-        max_batch_ticks=float(10 ** 9),
-        queue_capacity=max(64, 4 * batch),
-        default_deadline=_FOREVER, slo=SloConfig()), warm=items)
+    stack = build(
+        Topology("batched", slo=True),
+        [(k, b"seed-%d" % k) for k in range(records)],
+        seed=seed, label=f"metrics-{seed}",
+        fastver=FastVerConfig(key_width=32, n_workers=n_workers,
+                              partition_depth=3, cache_capacity=256,
+                              log_capacity=2048, batch_ops=None),
+        server=dict(max_batch_ops=batch, max_batch_ticks=float(10 ** 9),
+                    queue_capacity=max(64, 4 * batch),
+                    default_deadline=_FOREVER))
+    server = stack.server
     generator = YcsbGenerator(WORKLOADS["YCSB-A"], records,
                               distribution="zipfian", theta=0.9, seed=seed)
     builder = MetricsBuilder(n_workers, records)
     COUNTERS.reset()
 
-    requests = []
-    for kind, k, payload in generator.operations(ops):
-        bk = server.bitkey(k)
-        op = (client.make_put(bk, payload) if kind == OP_PUT
-              else client.make_get(bk))
-        requests.append(ServerRequest(
-            "put" if kind == OP_PUT else "get", op, _FOREVER,
-            worker=bk.bits))
+    requests = [stack.sdk.envelope(kind, k, payload)
+                for kind, k, payload in generator.operations(ops)]
 
     wave = max(1, n_workers * batch)
     phase_start = COUNTERS.snapshot()

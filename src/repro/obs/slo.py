@@ -20,7 +20,7 @@ verified_latency_p99 fraction of the interval's verified-latency
 shed_rate            sheds / submissions this epoch, divided by
                      ``shed_rate_budget``
 settlement_overflow  settlement-window overflow stalls this epoch,
-                     divided by ``overflow_budget``
+                     divided by ``OVERFLOW_BUDGET``
 scrub_quarantine     0 while the quarantine is empty; 2.0 while it is
                      growing or holding (not converging), 0.5 while it
                      is draining
@@ -53,6 +53,13 @@ OK = "ok"
 FAST_BURN = "fast_burn"
 SLOW_BURN = "slow_burn"
 
+#: Tolerable settlement-window overflow stalls per epoch.
+OVERFLOW_BUDGET = 1.0
+#: Mean burn over the fast window that fires ``fast_burn``.
+FAST_BURN_THRESHOLD = 2.0
+#: Mean burn over the slow window that fires ``slow_burn``.
+SLOW_BURN_THRESHOLD = 1.0
+
 
 @dataclass(frozen=True)
 class SloConfig:
@@ -67,26 +74,20 @@ class SloConfig:
     verified_p99_budget: float = 200.0
     #: Tolerable fraction of submissions shed at admission.
     shed_rate_budget: float = 0.05
-    #: Tolerable settlement-window overflow stalls per epoch.
-    overflow_budget: float = 1.0
     #: Fast window: epochs of burn averaged for the page-someone alert.
     fast_window: int = 5
     #: Slow window: epochs averaged for the sustained-burn alert.
     slow_window: int = 50
-    #: Mean burn over the fast window that fires ``fast_burn``.
-    fast_burn_threshold: float = 2.0
-    #: Mean burn over the slow window that fires ``slow_burn``.
-    slow_burn_threshold: float = 1.0
 
     def as_dict(self) -> dict:
         return {
             "verified_p99_budget": self.verified_p99_budget,
             "shed_rate_budget": self.shed_rate_budget,
-            "overflow_budget": self.overflow_budget,
+            "overflow_budget": OVERFLOW_BUDGET,
             "fast_window": self.fast_window,
             "slow_window": self.slow_window,
-            "fast_burn_threshold": self.fast_burn_threshold,
-            "slow_burn_threshold": self.slow_burn_threshold,
+            "fast_burn_threshold": FAST_BURN_THRESHOLD,
+            "slow_burn_threshold": SLOW_BURN_THRESHOLD,
         }
 
 
@@ -118,10 +119,10 @@ class _Objective:
         """Record one epoch's burn; returns True when the alert state
         changed (each transition emits a ``slo`` trace event)."""
         self.burns.append(burn)
-        if self.fast_burn >= self.cfg.fast_burn_threshold:
+        if self.fast_burn >= FAST_BURN_THRESHOLD:
             state = FAST_BURN
         elif (len(self.burns) >= self.cfg.fast_window
-                and self.slow_burn >= self.cfg.slow_burn_threshold):
+                and self.slow_burn >= SLOW_BURN_THRESHOLD):
             state = SLOW_BURN
         else:
             state = OK
@@ -214,7 +215,7 @@ class SloEngine:
         overflow_delta = COUNTERS.settlement_overflow - self._prev_overflow
         self._prev_overflow = COUNTERS.settlement_overflow
         if self._objectives["settlement_overflow"].push(
-                overflow_delta / self.cfg.overflow_budget, ts):
+                overflow_delta / OVERFLOW_BUDGET, ts):
             fired += 1
 
         quarantine = len(getattr(server.db.store,

@@ -53,6 +53,23 @@ from repro.replication.shipper import LogShipper
 from repro.replication.standby import StandbyVerifier
 
 
+#: Headroom added above the observed worst member lag when growing the
+#: adaptive retain depth.
+RETAIN_MARGIN = 16
+#: Renew when the remaining lease drops below this fraction of the
+#: duration (an honest primary renews long before expiry).
+LEASE_RENEW_MARGIN = 0.5
+#: Promotion vote-collection cost per live standby (ticks).
+VOTE_TICK_PER_STANDBY = 0.2
+#: Fixed resync handshake cost (ticks), both delta and snapshot.
+RESYNC_BASE_TICKS = 1.0
+#: Marginal delta-resync cost per redelivered entry (ticks).
+RESYNC_TICK_PER_ENTRY = 0.02
+#: Marginal snapshot-rebuild cost per copied record (ticks) — the
+#: asymmetry that makes delta resync worth having.
+SNAPSHOT_TICK_PER_RECORD = 0.05
+
+
 @dataclass
 class ReplicationConfig:
     """Replication tuning knobs."""
@@ -68,26 +85,11 @@ class ReplicationConfig:
     #: Fully-admitted shipments retained for delta resync; a member
     #: further behind than this takes the snapshot path. This is the
     #: *floor*: the shipper's live retain depth adapts upward to the
-    #: deepest member lag observed (plus ``retain_margin``), so a member
+    #: deepest member lag observed (plus ``RETAIN_MARGIN``), so a member
     #: that has once fallen N behind keeps a delta path N deep.
     retain_shipments: int = 64
-    #: Headroom added above the observed worst member lag when growing
-    #: the adaptive retain depth.
-    retain_margin: int = 16
     #: Leadership lease length in simulated ticks.
     lease_duration_ticks: float = 240.0
-    #: Renew when the remaining lease drops below this fraction of the
-    #: duration (an honest primary renews long before expiry).
-    lease_renew_margin: float = 0.5
-    #: Promotion vote-collection cost per live standby (ticks).
-    vote_tick_per_standby: float = 0.2
-    #: Fixed resync handshake cost (ticks), both delta and snapshot.
-    resync_base_ticks: float = 1.0
-    #: Marginal delta-resync cost per redelivered entry (ticks).
-    resync_tick_per_entry: float = 0.02
-    #: Marginal snapshot-rebuild cost per copied record (ticks) — the
-    #: asymmetry that makes delta resync worth having.
-    snapshot_tick_per_record: float = 0.05
     #: Cut an epoch marker after this many shipped entries since the
     #: last one (bounds standby verification lag by size)…
     epoch_marker_entries: int = 64
@@ -252,8 +254,8 @@ class ReplicationManager:
         member.detached = False
         self.delta_resyncs += 1
         COUNTERS.delta_resyncs += 1
-        self.server._advance(self.config.resync_base_ticks
-                             + entries * self.config.resync_tick_per_entry)
+        self.server._advance(RESYNC_BASE_TICKS
+                             + entries * RESYNC_TICK_PER_ENTRY)
         TRACER.record("resync", self.server.now, None, mode="delta",
                       standby=member.standby_id,
                       shipments=len(shipments), entries=entries)
@@ -275,8 +277,8 @@ class ReplicationManager:
         records = len(member.committed_reads)
         self.snapshot_resyncs += 1
         COUNTERS.snapshot_resyncs += 1
-        self.server._advance(self.config.resync_base_ticks
-                             + records * self.config.snapshot_tick_per_record)
+        self.server._advance(RESYNC_BASE_TICKS
+                             + records * SNAPSHOT_TICK_PER_RECORD)
         TRACER.record("resync", self.server.now, None, mode="snapshot",
                       standby=member.standby_id, records=records)
 
@@ -489,7 +491,7 @@ class ReplicationManager:
             depth = self.config.retain_shipments
         else:
             depth = max(self.config.retain_shipments,
-                        self._member_lag_high_water + self.config.retain_margin)
+                        self._member_lag_high_water + RETAIN_MARGIN)
         sh.retain = depth
         if depth > COUNTERS.replication_retain_depth:
             COUNTERS.replication_retain_depth = depth
@@ -540,7 +542,7 @@ class ReplicationManager:
         now = self.server.now
         duration = self.config.lease_duration_ticks
         if (self._lease_expires_at - now
-                <= duration * self.config.lease_renew_margin):
+                <= duration * LEASE_RENEW_MARGIN):
             self._renew_lease(voters)
         ok = now < self._lease_expires_at
         if ok:
@@ -659,7 +661,7 @@ class ReplicationManager:
             raise ProtocolError(
                 f"quorum unavailable: {len(healthy)} healthy standby(s), "
                 f"promotion needs {self.config.quorum}")
-        server._advance(len(healthy) * self.config.vote_tick_per_standby)
+        server._advance(len(healthy) * VOTE_TICK_PER_STANDBY)
         winner = max(healthy,
                      key=lambda s: (s.vote(), -s.standby_id))
         TRACER.record("quorum", server.now, None,

@@ -171,6 +171,18 @@ class Scrubber:
         self._quarantine_keys: dict[int, BitKey] = {}
         self._repair_ticks_acc = 0.0
 
+    def inherit(self, old: "Scrubber | None") -> "Scrubber":
+        """Carry the audit trail over from the scrubber this one replaces
+        (the store under it was salvaged, promoted or re-provisioned):
+        the ledger and the lifetime stats outlive any one store."""
+        if old is not None:
+            self.ledger = old.ledger
+            self.pages_checked = old.pages_checked
+            self.mismatches_found = old.mismatches_found
+            self.repairs_done = old.repairs_done
+            self.full_passes = old.full_passes
+        return self
+
     # ------------------------------------------------------------------
     # Pump
     # ------------------------------------------------------------------

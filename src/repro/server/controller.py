@@ -16,7 +16,7 @@ that interval's p99 — undiluted by older history — and either grows
 the batch bound additively (under budget: deeper batches are free
 throughput) or shrinks it multiplicatively (over budget: back off fast,
 latency debt compounds). The linger bound tracks the ops bound at
-``controller_ticks_per_op`` ticks per op, so a half-full batch never
+``TICKS_PER_OP`` ticks per op, so a half-full batch never
 waits out a window the controller has already decided is too long.
 
 Decisions are per shard (each shard owns its staging queue and its
@@ -37,20 +37,26 @@ from __future__ import annotations
 from repro.instrument import COUNTERS
 from repro.obs import LATENCIES, TRACER
 
+#: Floor / ceiling the controller may move a shard's batch bound to.
+MIN_BATCH = 1
+MAX_BATCH = 256
+#: Additive increase per under-budget evaluation (ops).
+GROW_STEP = 4
+#: Multiplicative decrease per over-budget evaluation.
+SHRINK_FACTOR = 0.5
+#: Linger coupling: a shard's effective max_batch_ticks is this many
+#: ticks per op of its current batch bound, so a half-full batch never
+#: lingers past the window the ops bound was sized for.
+TICKS_PER_OP = 4.0
+
 
 class LatencyBudgetController:
     """Per-shard AIMD walk of the group-commit batch bounds against a
     p99 verified-latency budget."""
 
     def __init__(self, server):
-        cfg = server.config
         self.server = server
-        self.budget = cfg.latency_budget_p99
-        self.min_batch = cfg.controller_min_batch
-        self.max_batch = cfg.controller_max_batch
-        self.grow_step = cfg.controller_grow_step
-        self.shrink_factor = cfg.controller_shrink_factor
-        self.ticks_per_op = cfg.controller_ticks_per_op
+        self.budget = server.config.latency_budget_p99
         #: shard -> current effective max_batch_ops. Shards start at the
         #: static knob, clamped into the controller's range.
         self._limits: dict[int, int] = {}
@@ -60,8 +66,8 @@ class LatencyBudgetController:
 
     # ------------------------------------------------------------------
     def _initial(self) -> int:
-        return max(self.min_batch,
-                   min(self.server.config.max_batch_ops, self.max_batch))
+        return max(MIN_BATCH,
+                   min(self.server.config.max_batch_ops, MAX_BATCH))
 
     def batch_limit(self, shard: int) -> int:
         """The shard's current effective ``max_batch_ops``."""
@@ -72,7 +78,7 @@ class LatencyBudgetController:
         """The shard's current effective ``max_batch_ticks``: the time a
         full batch takes to fill at the load the ops bound was sized
         for, so lingering never outlasts the budgeted window."""
-        return self.ticks_per_op * self.batch_limit(shard)
+        return TICKS_PER_OP * self.batch_limit(shard)
 
     # ------------------------------------------------------------------
     def observe_epoch(self) -> None:
@@ -98,10 +104,9 @@ class LatencyBudgetController:
         for shard in range(self.server.db.config.n_workers):
             current = self.batch_limit(shard)
             if breach:
-                new = max(self.min_batch,
-                          int(current * self.shrink_factor))
+                new = max(MIN_BATCH, int(current * SHRINK_FACTOR))
             else:
-                new = min(self.max_batch, current + self.grow_step)
+                new = min(MAX_BATCH, current + GROW_STEP)
             if new != current:
                 moved += 1
                 if breach:
@@ -126,6 +131,6 @@ class LatencyBudgetController:
             "last_action": self.last_action,
             "evaluations": self.evaluations,
             "batch_limits": limits,
-            "linger_limits": {s: self.ticks_per_op * b
+            "linger_limits": {s: TICKS_PER_OP * b
                               for s, b in limits.items()},
         }

@@ -30,7 +30,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
 from repro.backoff import BackoffPolicy
-from repro.core.fastver import FastVer
+from repro.core.fastver import FastVer, data_items
 from repro.core.protocol import GetRequest, PutRequest
 from repro.errors import (
     AvailabilityError,
@@ -51,6 +51,13 @@ from repro.server.breaker import OPEN, CircuitBreaker
 from repro.server.supervisor import Supervisor
 from repro.store.recovery import rebuild_index_from_log
 
+#: Simulated service time charged per processed request (ticks).
+TIME_PER_REQUEST = 1.0
+#: Simulated cost per scrubbed page (ticks).
+SCRUB_TICK_PER_PAGE = 0.02
+#: Pumps :meth:`FastVerServer.drain` spends waiting on streamed receipts.
+DRAIN_PUMPS = 64
+
 
 @dataclass
 class ServerConfig:
@@ -70,8 +77,6 @@ class ServerConfig:
     read_cache_capacity: int = 65536
     #: Idempotency-table capacity (completed request results).
     completed_capacity: int = 8192
-    #: Simulated service time charged per processed request.
-    time_per_request: float = 1.0
     # --- group-commit batching (opt-in; see docs/PROTOCOL.md) ---------
     #: Stage queued operations into per-verifier-shard batches and settle
     #: each batch in a single multi-shard ecall (receipt-synchronous group
@@ -99,31 +104,8 @@ class ServerConfig:
     #: max_batch_ticks to chase this budget: grow while under, halve on
     #: breach. None keeps the static knobs above.
     latency_budget_p99: float | None = None
-    #: Floor / ceiling the controller may move a shard's batch bound to.
-    controller_min_batch: int = 1
-    controller_max_batch: int = 256
-    #: Additive increase per under-budget evaluation (ops).
-    controller_grow_step: int = 4
-    #: Multiplicative decrease per over-budget evaluation.
-    controller_shrink_factor: float = 0.5
-    #: Linger coupling: a shard's effective max_batch_ticks is this many
-    #: ticks per op of its current batch bound, so a half-full batch
-    #: never lingers past the window the ops bound was sized for.
-    controller_ticks_per_op: float = 4.0
     #: Pacing/budget of one supervisor heal session (None = default).
     heal_backoff: BackoffPolicy | None = None
-    # --- recovery-ladder cost model (simulated ticks per rung) --------
-    #: Fixed cost of a checkpoint restore, plus a per-record scan cost.
-    restore_base_ticks: float = 5.0
-    restore_tick_per_record: float = 0.05
-    #: Fixed cost of a lenient log-scan salvage, plus per-record cost.
-    salvage_base_ticks: float = 10.0
-    salvage_tick_per_record: float = 0.05
-    #: Fixed cost of a failover promotion, plus a cost per drained
-    #: (acknowledged-but-unshipped) log entry — the warm standby already
-    #: holds everything else, which is the whole RTO argument.
-    promote_base_ticks: float = 1.0
-    promote_tick_per_entry: float = 0.02
     # --- background scrub & verified repair (repro.scrub) -------------
     #: Run the background scrubber one budgeted slice per pump. Off by
     #: default: with it off the pipeline is byte-identical to before.
@@ -134,12 +116,10 @@ class ServerConfig:
     #: BENCH_repair.json enforces; raise it to tighten rot-detection
     #: latency at the price of throughput.
     scrub_budget_pages: int = 3
-    #: Simulated cost per scrubbed page.
-    scrub_tick_per_page: float = 0.02
     #: Fixed + per-page cost of one verified record repair — the MTTR
-    #: driver. Orders of magnitude under the restore/salvage bases
-    #: above: that gap IS the self-healing argument (BENCH_repair.json
-    #: quantifies it).
+    #: driver. Orders of magnitude under the supervisor's restore and
+    #: salvage bases: that gap IS the self-healing argument
+    #: (BENCH_repair.json quantifies it).
     repair_base_ticks: float = 0.1
     repair_tick_per_page: float = 0.1
     # --- SLO burn-rate engine (opt-in; see repro.obs.slo) -------------
@@ -454,41 +434,41 @@ class FastVerServer:
             while self.queue and (max_requests is None
                                   or processed < max_requests):
                 ticket = self.queue.popleft()
-                self._advance(self.config.time_per_request)
+                self._advance(TIME_PER_REQUEST)
                 request = ticket.request
                 if request.submitted_at is not None:
                     LATENCIES.observe("admission_wait",
                                       self.now - request.submitted_at,
                                       trace=request.trace)
                 try:
-                    ticket.result = self._execute(request)
+                    self._execute(ticket)
                 except Exception as exc:
-                    ticket.error = exc
-                    TRACER.record("error", self.now, request.trace,
-                                  type=type(exc).__name__)
-                ticket.done = True
+                    self._fail(ticket, exc)
                 processed += 1
         self._scrub_pump()
         if self.replication is not None:
             self.replication.pump()
         return processed
 
+    def drain(self, tickets) -> bool:
+        """Pump until every ticket is done — under ``config.pipeline``
+        receipts stream back on later pumps — or :data:`DRAIN_PUMPS`
+        pumps have passed; returns whether they all settled."""
+        for _ in range(DRAIN_PUMPS):
+            if all(t.done for t in tickets):
+                return True
+            self.pump()
+        return all(t.done for t in tickets)
+
     def handle(self, request: ServerRequest) -> ServerResult:
         """Synchronous convenience: submit, drain the queue, and return
-        this request's outcome (raising its typed error, if any). Under
-        ``config.pipeline`` the receipt streams back on a later pump, so
-        the drain keeps pumping until this ticket settles."""
+        this request's outcome (raising its typed error, if any)."""
         ticket = self.submit(request)
         self.pump()
-        if self.config.pipeline:
-            for _ in range(64):
-                if ticket.done:
-                    break
-                self.pump()
-            if not ticket.done:
-                raise RuntimeError(
-                    "pipelined ticket failed to settle: a dispatched "
-                    "batch never streamed its receipt back")
+        if not ticket.done and not self.drain((ticket,)):
+            raise RuntimeError(
+                "pipelined ticket failed to settle: a dispatched "
+                "batch never streamed its receipt back")
         if ticket.error is not None:
             raise ticket.error
         assert ticket.result is not None
@@ -620,13 +600,17 @@ class FastVerServer:
                             stale_epochs=stale_epochs,
                             generation=self.generation)
 
-    def _execute(self, request: ServerRequest) -> ServerResult:
+    def _execute(self, ticket: Ticket) -> None:
+        """The per-op path: resolve ``ticket`` or raise its typed error
+        (which the pump records through :meth:`_fail`)."""
+        request = ticket.request
         early = self._admission(request)
+        if early is None:
+            early = self._try_replica(request)
         if early is not None:
-            return early
-        replica = self._try_replica(request)
-        if replica is not None:
-            return replica
+            ticket.result = early
+            ticket.done = True
+            return
         try:
             result = self._apply(request)
         except IntegrityError:
@@ -644,13 +628,36 @@ class FastVerServer:
             raise
         self.breaker.record_success()
         self._record_completion(request, result)
+        self._deliver(ticket, result)
+
+    def _fail(self, ticket: Ticket, exc: Exception) -> None:
+        """Resolve ``ticket`` with a typed error, traced on its span."""
+        ticket.error = exc
+        TRACER.record("error", self.now, ticket.request.trace,
+                      type=type(exc).__name__)
+        ticket.done = True
+
+    def _deliver(self, ticket: Ticket, result: ServerResult) -> None:
+        """Put a recorded result on the response wire and resolve its
+        ticket; the ``server.wire.response`` fault loses it in transit."""
         if self.faults is not None and \
                 self.faults.fire("server.wire.response"):
             COUNTERS.wire_drops += 1
-            raise WireDropError(
+            lost = WireDropError(
                 "response lost on the server->client wire (the operation "
                 "WAS applied; the idempotency table remembers it)")
-        return result
+            if not self.config.group_commit:
+                # The per-op pump's span has always carried a lost
+                # response as the op's typed error; group commit names
+                # the wire instead. Spools are pinned byte-for-byte.
+                self._fail(ticket, lost)
+                return
+            TRACER.record("drop", self.now, ticket.request.trace,
+                          wire="response")
+            ticket.error = lost
+        else:
+            ticket.result = result
+        ticket.done = True
 
     def _apply(self, request: ServerRequest) -> ServerResult:
         client = self.db.clients.get(request.client_id)
@@ -723,7 +730,7 @@ class FastVerServer:
         while self.queue and (max_requests is None
                               or processed < max_requests):
             ticket = self.queue.popleft()
-            self._advance(self.config.time_per_request)
+            self._advance(TIME_PER_REQUEST)
             processed += 1
             if ticket.request.submitted_at is not None:
                 LATENCIES.observe("admission_wait",
@@ -732,18 +739,12 @@ class FastVerServer:
             try:
                 early = self._admission(ticket.request)
             except Exception as exc:
-                ticket.error = exc
-                TRACER.record("error", self.now, ticket.request.trace,
-                              type=type(exc).__name__)
-                ticket.done = True
+                self._fail(ticket, exc)
                 continue
+            if early is None:
+                early = self._try_replica(ticket.request)
             if early is not None:
                 ticket.result = early
-                ticket.done = True
-                continue
-            replica = self._try_replica(ticket.request)
-            if replica is not None:
-                ticket.result = replica
                 ticket.done = True
                 continue
             dedup_key = ticket.request.dedup_key
@@ -799,7 +800,7 @@ class FastVerServer:
     def _flush_due(self) -> None:
         """Flush shards whose linger window closed or whose oldest staged
         deadline would not survive another service tick."""
-        horizon = self.now + self.config.time_per_request
+        horizon = self.now + TIME_PER_REQUEST
         for shard in list(self._shard_batches):
             batch = self._shard_batches.get(shard)
             if not batch:
@@ -865,67 +866,42 @@ class FastVerServer:
                 key = getattr(ticket.request.op, "key", None)
                 if key is not None:
                     self._suspect_keys.add(key)
-                ticket.error = exc
-                TRACER.record("error", self.now, ticket.request.trace,
-                              type=type(exc).__name__)
-                ticket.done = True
+                self._fail(ticket, exc)
             return
         except AvailabilityError as exc:
             self.breaker.record_failure(self.now)
             self._enter_degraded(f"{type(exc).__name__}: {exc}")
             for ticket in live:
-                ticket.error = exc
-                TRACER.record("error", self.now, ticket.request.trace,
-                              type=type(exc).__name__)
-                ticket.done = True
+                self._fail(ticket, exc)
             return
-        if self.config.pipeline:
-            # Pipelined dispatch: the ecall ran and its effects are the
-            # truth now — completions recorded, provisional state applied
-            # — but the tickets resolve when the receipt stream delivers
-            # them on a later pump (_settle_inflight). The response-wire
-            # fault point moves with the response: it fires at settle.
-            entries: list = []
-            for ticket, outcome in zip(live, outcomes):
-                if outcome.error is not None:
-                    entries.append((ticket, None, outcome.error))
-                    continue
+        # The ecall ran and its effects are the truth now — completions
+        # recorded, provisional state applied. Receipt-synchronous group
+        # commit settles each entry at once; under config.pipeline the
+        # tickets resolve when the receipt stream delivers them on a
+        # later pump (_settle_inflight), and the response-wire fault
+        # point moves with the response: it fires at settle.
+        streamed = self.config.pipeline
+        entries: list = []
+        for ticket, outcome in zip(live, outcomes):
+            result = None
+            if outcome.error is None:
                 result = ServerResult(outcome.payload, outcome.nonce,
                                       generation=self.generation)
                 self.breaker.record_success()
                 self._record_completion(ticket.request, result)
-                entries.append((ticket, result, None))
+            if streamed:
+                entries.append((ticket, result, outcome.error))
+            elif result is None:
+                self._fail(ticket, outcome.error)
+            else:
+                self._deliver(ticket, result)
+        if streamed:
             self._inflight.append(_InFlightBatch(
                 shard, entries, self.generation, self.now,
                 self._pump_seq))
             self.batches_pipelined += 1
             COUNTERS.inflight_batches_max = max(
                 COUNTERS.inflight_batches_max, len(self._inflight))
-        else:
-            for ticket, outcome in zip(live, outcomes):
-                if outcome.error is not None:
-                    ticket.error = outcome.error
-                    TRACER.record("error", self.now, ticket.request.trace,
-                                  type=type(outcome.error).__name__)
-                    ticket.done = True
-                    continue
-                result = ServerResult(outcome.payload, outcome.nonce,
-                                      generation=self.generation)
-                self.breaker.record_success()
-                self._record_completion(ticket.request, result)
-                if self.faults is not None and \
-                        self.faults.fire("server.wire.response"):
-                    COUNTERS.wire_drops += 1
-                    TRACER.record("drop", self.now, ticket.request.trace,
-                                  wire="response")
-                    ticket.error = WireDropError(
-                        "response lost on the server->client wire (the "
-                        "operation WAS applied; the idempotency table "
-                        "remembers it)")
-                    ticket.done = True
-                    continue
-                ticket.result = result
-                ticket.done = True
         if self.replication is not None:
             # Shipping coalesces along batch boundaries: everything this
             # group commit produced travels in one shipment.
@@ -963,28 +939,12 @@ class FastVerServer:
                     ticket.done = True
                     continue
                 if error is not None:
-                    ticket.error = error
-                    TRACER.record("error", self.now, request.trace,
-                                  type=type(error).__name__)
-                    ticket.done = True
+                    self._fail(ticket, error)
                     continue
                 TRACER.record("settle", self.now, request.trace,
                               shard=record.shard,
-                              pumps=self._pump_seq
-                              - record.dispatched_pump)
-                if self.faults is not None and \
-                        self.faults.fire("server.wire.response"):
-                    COUNTERS.wire_drops += 1
-                    TRACER.record("drop", self.now, request.trace,
-                                  wire="response")
-                    ticket.error = WireDropError(
-                        "response lost on the server->client wire (the "
-                        "operation WAS applied; the idempotency table "
-                        "remembers it)")
-                    ticket.done = True
-                    continue
-                ticket.result = result
-                ticket.done = True
+                              pumps=self._pump_seq - record.dispatched_pump)
+                self._deliver(ticket, result)
 
     # ------------------------------------------------------------------
     # Degraded mode
@@ -1068,19 +1028,11 @@ class FastVerServer:
         old_db = self.db
         device = old_db.store.log.device
         device.faults = None  # the salvage read pass itself runs clean
+        width = old_db.config.key_width
         salvaged = rebuild_index_from_log(
             device, old_db.store.log.tail_address,
-            ordered_width=old_db.config.key_width, strict=False)
-        width = old_db.config.key_width
-        items: list[tuple[int, bytes]] = []
-        for key, value, _aux in salvaged.items():
-            if key.length != width:
-                continue  # merkle plumbing; the fresh instance rebuilds it
-            payload = getattr(value, "payload", None)
-            if payload is None:
-                continue
-            items.append((key.bits, payload))
-        items.sort()
+            ordered_width=width, strict=False)
+        items = data_items(salvaged, width)
         if self.salvage_hook is not None:
             items = self.salvage_hook(items)
         new_db = FastVer(old_db.config, items=items)
@@ -1120,20 +1072,14 @@ class FastVerServer:
         if current is None or current.db is not self.db \
                 or current.repl is not self.replication:
             from repro.scrub import Scrubber
-            fresh = Scrubber(
+            self._scrubber = Scrubber(
                 self.db, budget_pages=cfg.scrub_budget_pages,
                 repl=self.replication, server=self,
                 now_fn=lambda: self.now, advance_fn=self._advance,
-                tick_per_page=cfg.scrub_tick_per_page,
+                tick_per_page=SCRUB_TICK_PER_PAGE,
                 repair_base_ticks=cfg.repair_base_ticks,
-                repair_tick_per_page=cfg.repair_tick_per_page)
-            if current is not None:
-                fresh.ledger = current.ledger
-                fresh.pages_checked = current.pages_checked
-                fresh.mismatches_found = current.mismatches_found
-                fresh.repairs_done = current.repairs_done
-                fresh.full_passes = current.full_passes
-            self._scrubber = fresh
+                repair_tick_per_page=cfg.repair_tick_per_page,
+            ).inherit(current)
         return self._scrubber
 
     def _scrub_pump(self) -> None:

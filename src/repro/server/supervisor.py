@@ -48,6 +48,19 @@ from repro.errors import (
 from repro.instrument import COUNTERS
 from repro.obs import TRACER
 
+# The recovery-ladder cost model: simulated ticks per rung.
+#: Fixed cost of a checkpoint restore, plus a per-record scan cost.
+RESTORE_BASE_TICKS = 5.0
+RESTORE_TICK_PER_RECORD = 0.05
+#: Fixed cost of a lenient log-scan salvage, plus per-record cost.
+SALVAGE_BASE_TICKS = 10.0
+SALVAGE_TICK_PER_RECORD = 0.05
+#: Fixed cost of a failover promotion, plus a cost per drained
+#: (acknowledged-but-unshipped) log entry — the warm standby already
+#: holds everything else, which is the whole RTO argument.
+PROMOTE_BASE_TICKS = 1.0
+PROMOTE_TICK_PER_ENTRY = 0.02
+
 
 class Supervisor:
     """Heals the verifier behind a :class:`FastVerServer`."""
@@ -137,7 +150,6 @@ class Supervisor:
         checkpoint restore, else lenient salvage. True when the database
         is healthy again."""
         server = self.server
-        cfg = server.config
         repl = server.replication
         # Rung 0: verified record-level repair. Cheapest by orders of
         # magnitude — it touches only the quarantined pages, not the
@@ -160,8 +172,8 @@ class Supervisor:
                 return False
             self.failovers += 1
             self._last_rung = "failover"
-            server._advance(cfg.promote_base_ticks
-                            + drained * cfg.promote_tick_per_entry)
+            server._advance(PROMOTE_BASE_TICKS
+                            + drained * PROMOTE_TICK_PER_ENTRY)
             # No _rollback_provisional here: the promoted state holds
             # every operation the idempotency table ever recorded.
             return True
@@ -193,8 +205,8 @@ class Supervisor:
             self.salvages += 1
             self._last_rung = "salvage"
             server._advance(
-                cfg.salvage_base_ticks
-                + len(server.db.store) * cfg.salvage_tick_per_record)
+                SALVAGE_BASE_TICKS
+                + len(server.db.store) * SALVAGE_TICK_PER_RECORD)
         except AvailabilityError:
             self.failed_attempts += 1
             return False
@@ -206,8 +218,8 @@ class Supervisor:
             self._last_rung = "restore"
             server._rollback_provisional()
             server._advance(
-                cfg.restore_base_ticks
-                + len(db.store) * cfg.restore_tick_per_record)
+                RESTORE_BASE_TICKS
+                + len(db.store) * RESTORE_TICK_PER_RECORD)
             # A restore re-reads the same device pages whose rot may have
             # tripped the alarm; repair the suspects now or the next
             # touch restarts the whole ladder.

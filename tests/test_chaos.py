@@ -121,26 +121,26 @@ class TestServerChaosSoak:
     the verifier, and none of them may manufacture a wrong answer."""
 
     def test_server_soak_holds_tristate_invariant(self):
-        report = run_chaos(seed=7, ops=400, records=80, server=True)
+        report = run_chaos(seed=7, ops=400, records=80, topology="server")
         assert report.hard_failures == []
         assert report.ops_ok > 0
 
     def test_server_soak_is_bit_for_bit_reproducible(self):
-        first = run_chaos(seed=11, ops=300, records=60, server=True)
-        second = run_chaos(seed=11, ops=300, records=60, server=True)
+        first = run_chaos(seed=11, ops=300, records=60, topology="server")
+        second = run_chaos(seed=11, ops=300, records=60, topology="server")
         assert first.hard_failures == []
         assert first.digest() == second.digest()
         assert first.trace_digest == second.trace_digest
 
     def test_server_soak_differs_from_direct_mode(self):
         direct = run_chaos(seed=7, ops=300, records=60)
-        served = run_chaos(seed=7, ops=300, records=60, server=True)
+        served = run_chaos(seed=7, ops=300, records=60, topology="server")
         assert direct.hard_failures == [] and served.hard_failures == []
         # Server mode arms its own fault points, so the trace diverges.
         assert direct.trace_digest != served.trace_digest
 
     def test_tampering_detected_through_the_pipeline(self):
         report = run_chaos(seed=23, ops=300, records=60, tamper_every=100,
-                           server=True)
+                           topology="server")
         assert report.hard_failures == []
         assert report.integrity_detections == 3

@@ -58,7 +58,7 @@ class TestCli:
     def test_obs_replay_and_slo_report(self, capsys, tmp_path):
         spool_dir = str(tmp_path / "spool")
         code = main(["chaos", "--seed", "7", "--ops", "400",
-                     "--records", "120", "--server", "--obs",
+                     "--records", "120", "--topology", "server+slo",
                      "--spool-dir", spool_dir])
         assert code == 0
         out = capsys.readouterr().out
@@ -68,8 +68,8 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "replayed" in out and "lifecycle trace" in out
-        code = main(["obs", "slo-report", "--server", "--seed", "7",
-                     "--ops", "400", "--records", "120"])
+        code = main(["obs", "slo-report", "--topology", "server",
+                     "--seed", "7", "--ops", "400", "--records", "120"])
         assert code == 0
         out = capsys.readouterr().out
         assert "slo report" in out and "exemplars retained" in out
@@ -84,8 +84,8 @@ class TestCli:
         assert "crossings" in out
 
     def test_trace_find_lifecycle(self, capsys):
-        code = main(["trace", "--batched", "--failover", "--seed", "7",
-                     "--ops", "600", "--records", "200",
+        code = main(["trace", "--topology", "batched+failover",
+                     "--seed", "7", "--ops", "600", "--records", "200",
                      "--find-lifecycle",
                      "admit,stage,flush,fence,retry,receipt"])
         assert code == 0

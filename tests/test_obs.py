@@ -402,8 +402,8 @@ class TestChaosLifecycle:
         primary, some request's span covers the whole journey across the
         fence — admit, fence rejection, retry, staging, flush, receipt."""
         from repro.faults.chaos import run_chaos
-        report = run_chaos(seed=7, ops=600, records=200, server=True,
-                           failover=True, batched=True)
+        report = run_chaos(seed=7, ops=600, records=200,
+                           topology="batched+failover")
         assert not report.hard_failures
         kinds = {"admit", "stage", "flush", "fence", "retry", "receipt"}
         trace = TRACER.find_lifecycle(kinds)

@@ -28,6 +28,7 @@ from repro.obs.sink import (
 )
 from repro.obs.slo import SloConfig, SloEngine
 from repro.obs.trace import TraceEvent, Tracer
+from repro.topology import Topology
 
 
 @pytest.fixture(autouse=True)
@@ -146,8 +147,8 @@ class TestSpool:
 class TestSoakReplayFidelity:
     def test_batched_failover_seed7_spans_byte_identical(self, tmp_path):
         directory = str(tmp_path / "spool")
-        report = run_chaos(seed=7, ops=600, records=200, batched=True,
-                           failover=True, spool_dir=directory)
+        report = run_chaos(seed=7, ops=600, records=200,
+                           topology="batched+failover", spool_dir=directory)
         assert report.ok
         assert report.spool_replay_ok
         assert report.spool_events >= len(TRACER)
@@ -168,7 +169,7 @@ class TestSoakReplayFidelity:
     def test_spool_attach_keeps_legacy_digest(self):
         # The spool rides along on every soak now; the pinned legacy
         # digest (tests/test_pipelined.py) must not feel it.
-        report = run_chaos(seed=7, ops=600, records=200, batched=True)
+        report = run_chaos(seed=7, ops=600, records=200, topology="batched")
         assert report.digest() == (
             "a577d0567dcac45e29a933854bf4766b"
             "030c996470a671326f21a3a13cecdcce")
@@ -226,17 +227,17 @@ class TestExemplars:
         assert len(baseline) <= EXEMPLAR_BASELINE
 
     def test_exemplar_digest_deterministic_across_reruns(self):
-        first = run_chaos(seed=11, ops=800, records=150, server=True,
-                          obs=True)
+        first = run_chaos(seed=11, ops=800, records=150,
+                          topology="server+slo")
         digest_a = first.exemplar_digest
         assert digest_a
-        second = run_chaos(seed=11, ops=800, records=150, server=True,
-                           obs=True)
+        second = run_chaos(seed=11, ops=800, records=150,
+                           topology="server+slo")
         assert second.exemplar_digest == digest_a
         assert second.digest() == first.digest()
         # A different seed selects a different exemplar set.
-        other = run_chaos(seed=23, ops=800, records=150, server=True,
-                          obs=True)
+        other = run_chaos(seed=23, ops=800, records=150,
+                          topology="server+slo")
         assert other.exemplar_digest != digest_a
 
     def test_window_meta_counts_resets(self):
@@ -452,16 +453,16 @@ class TestServingWiring:
 class TestObsChaosAcceptance:
     def test_seeded_alert_and_spool_only_lifecycle(self, tmp_path):
         directory = str(tmp_path / "spool")
-        report = run_chaos(seed=7, ops=2000, records=200, server=True,
-                           obs=True, spool_dir=directory)
+        report = run_chaos(seed=7, ops=2000, records=200,
+                           topology="server+slo", spool_dir=directory)
         assert report.ok
         assert report.obs_armed
         # The tight --obs budget makes a stressed soak fire: at least one
         # burn-rate alert, deterministically.
         assert report.slo_alerts >= 1
         assert report.exemplar_digest
-        rerun = run_chaos(seed=7, ops=2000, records=200, server=True,
-                          obs=True)
+        rerun = run_chaos(seed=7, ops=2000, records=200,
+                          topology="server+slo")
         assert rerun.digest() == report.digest()
         assert rerun.slo_alerts == report.slo_alerts
 
@@ -485,9 +486,9 @@ class TestObsChaosAcceptance:
         assert reconstructed == len(exemplars)
 
     def test_obs_digest_folds_slo_and_exemplars(self):
-        armed = run_chaos(seed=7, ops=600, records=150, server=True,
-                          obs=True)
-        plain = run_chaos(seed=7, ops=600, records=150, server=True)
+        armed = run_chaos(seed=7, ops=600, records=150,
+                          topology="server+slo")
+        plain = run_chaos(seed=7, ops=600, records=150, topology="server")
         # Same workload, but the armed run's digest folds the obs facts.
         assert armed.digest() != plain.digest()
         assert plain.exemplar_digest == ""
@@ -497,7 +498,8 @@ class TestObsChaosAcceptance:
 
         # Force a hard failure cheaply: run a soak, then fabricate one.
         run = chaos_mod._ChaosRun(seed=7, ops=300, records=100, plan=None,
-                                  tamper_every=None, server=True)
+                                  tamper_every=None,
+                                  topology=Topology("server"))
         TRACER.attach_sink(TraceSpool())
         report = run.run()
         if report.forensics is None:
@@ -505,7 +507,7 @@ class TestObsChaosAcceptance:
             report.forensics = None
         # Re-drive just the forensics logic via a real run with an
         # injected failure marker.
-        report2 = run_chaos(seed=13, ops=300, records=100, server=True)
+        report2 = run_chaos(seed=13, ops=300, records=100, topology="server")
         assert report2.spool_events >= len(TRACER)
         assert report2.spool_replay_ok
 

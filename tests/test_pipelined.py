@@ -1,8 +1,8 @@
 """Pipelined group commit: streamed settlement across pumps, fence
 interaction mid-flight, settlement-queue backpressure and overflow
 accounting, the AIMD latency-budget controller, and the pipelined chaos
-topology — including the pinned legacy digests proving the synchronous
-paths stayed byte-identical.
+topology (the pinned synchronous digests proving those paths stayed
+byte-identical live in tests/test_topology.py).
 """
 
 from __future__ import annotations
@@ -13,19 +13,8 @@ from repro.errors import NotLeaderError, OverloadError
 from repro.instrument import COUNTERS
 from repro.obs import TRACER
 from repro.server import ServerRequest
+from repro.server.controller import TICKS_PER_OP
 from tests.test_batching import batched_setup, envelope
-
-#: Legacy (non-pipelined) chaos digests, pinned: the pipelined refactor
-#: must not move a single byte of the synchronous paths' behaviour.
-LEGACY_DIGESTS = {
-    ("batched", 7, 600, 200):
-        "a577d0567dcac45e29a933854bf4766b030c996470a671326f21a3a13cecdcce",
-    ("batched_failover", 7, 600, 200):
-        "46d5dbbd1320577966e9614a6ed3d0124f533c6d7faed2be306e80594279197c",
-    ("batched", 11, 400, 120):
-        "f5f91227fbf8a4bbf056ab255c6eac3eb737c6737ba170fd13eb434131d626e3",
-}
-
 
 def pipelined_setup(specs=None, seed=3, n_records=50, standby=False,
                     **cfg_kwargs):
@@ -203,7 +192,7 @@ class TestLatencyBudgetController:
         assert controller is not None
         for shard in range(db.config.n_workers):
             assert controller.linger_limit(shard) == \
-                controller.ticks_per_op * controller.batch_limit(shard)
+                TICKS_PER_OP * controller.batch_limit(shard)
 
     def test_convergence_under_step_change_in_offered_load(self):
         db, client, server = pipelined_setup(latency_budget_p99=100.0,
@@ -250,44 +239,33 @@ class TestLatencyBudgetController:
 class TestPipelinedChaos:
     def test_pipelined_soak_is_deterministic_with_zero_escapes(self):
         from repro.faults.chaos import run_chaos
-        a = run_chaos(seed=13, ops=300, records=60, pipelined=True)
-        b = run_chaos(seed=13, ops=300, records=60, pipelined=True)
+        a = run_chaos(seed=13, ops=300, records=60, topology="pipelined")
+        b = run_chaos(seed=13, ops=300, records=60, topology="pipelined")
         assert a.ok  # zero tri-state violations (no escapes)
         assert a.pipelined and a.pipelined_batches > 0
         assert a.digest() == b.digest()
 
     def test_pipelined_failover_soak_holds_the_oracle(self):
         from repro.faults.chaos import run_chaos
-        report = run_chaos(seed=7, ops=300, records=60, pipelined=True,
-                           failover=True)
+        report = run_chaos(seed=7, ops=300, records=60,
+                           topology="pipelined+failover")
         assert report.ok
         assert report.failovers >= 1
 
     def test_pipelined_mode_changes_the_digest(self):
         from repro.faults.chaos import run_chaos
-        sync = run_chaos(seed=13, ops=300, records=60, batched=True)
-        piped = run_chaos(seed=13, ops=300, records=60, pipelined=True)
+        sync = run_chaos(seed=13, ops=300, records=60, topology="batched")
+        piped = run_chaos(seed=13, ops=300, records=60, topology="pipelined")
         assert sync.digest() != piped.digest()
-
-    @pytest.mark.parametrize("scenario,digest", sorted(
-        LEGACY_DIGESTS.items()), ids=lambda v: str(v))
-    def test_legacy_synchronous_digests_are_byte_identical(self, scenario,
-                                                           digest):
-        from repro.faults.chaos import run_chaos
-        mode, seed, ops, records = scenario
-        report = run_chaos(seed=seed, ops=ops, records=records,
-                           batched=True,
-                           failover=(mode == "batched_failover"))
-        assert report.digest() == digest
 
 
 class TestPipelinedBenchShape:
     def test_tiny_pipelined_run_settles_everything(self):
-        from repro.bench.batching import _run_one
+        from repro.bench.batching import PIPELINED, _run_one
 
         sync, _ = _run_one(8, records=60, ops=120, seed=5)
         piped, server = _run_one(8, records=60, ops=120, seed=5,
-                                 pipeline=True)
+                                 topology=PIPELINED)
         assert piped["mode"] == "pipelined"
         assert piped["batches_pipelined"] > 0
         assert server.health()["batching"]["inflight_batches"] == 0

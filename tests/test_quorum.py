@@ -290,7 +290,7 @@ class TestQuorumChaos:
 
         for seed in (7, 11, 23):
             report = run_chaos(seed=seed, ops=400, records=80,
-                               failover=True, standbys=3)
+                               topology="failover:3")
             assert report.ok, (seed, report.hard_failures)
             assert report.leader_converged
             assert report.standbys == 3
@@ -301,9 +301,9 @@ class TestQuorumChaos:
         from repro.faults.chaos import run_chaos
 
         first = run_chaos(seed=11, ops=300, records=60,
-                          failover=True, standbys=3)
+                          topology="failover:3")
         second = run_chaos(seed=11, ops=300, records=60,
-                           failover=True, standbys=3)
+                           topology="failover:3")
         assert first.ok and second.ok
         assert first.digest() == second.digest()
 

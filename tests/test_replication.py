@@ -480,7 +480,7 @@ class TestFailoverChaos:
     def test_kill_primary_soak_holds_invariants(self):
         from repro.faults.chaos import run_chaos
 
-        report = run_chaos(seed=5, ops=400, records=80, failover=True)
+        report = run_chaos(seed=5, ops=400, records=80, topology="failover")
         assert report.ok, report.hard_failures
         assert report.failovers >= 2  # both scheduled kills promoted
         assert report.shipped_batches > 0
@@ -488,8 +488,8 @@ class TestFailoverChaos:
     def test_failover_soak_deterministic(self):
         from repro.faults.chaos import run_chaos
 
-        first = run_chaos(seed=13, ops=300, records=60, failover=True)
-        second = run_chaos(seed=13, ops=300, records=60, failover=True)
+        first = run_chaos(seed=13, ops=300, records=60, topology="failover")
+        second = run_chaos(seed=13, ops=300, records=60, topology="failover")
         assert first.ok and second.ok
         assert first.digest() == second.digest()
 

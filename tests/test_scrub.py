@@ -22,6 +22,7 @@ from repro.errors import (
 from repro.faults import FaultPlan, install_faults
 from repro.faults.plan import FaultSpec
 from repro.instrument import COUNTERS
+from repro.replication.manager import RETAIN_MARGIN
 from repro.scrub import Scrubber
 from tests.conftest import small_fastver
 
@@ -430,7 +431,7 @@ class TestQuorumSources:
         member.last_admitted_seq = sh.next_seq - 1 - 400  # a deep stall
         repl._adapt_retain()
         expected = max(repl.config.retain_shipments,
-                       400 + repl.config.retain_margin)
+                       400 + RETAIN_MARGIN)
         assert sh.retain == expected
         assert COUNTERS.replication_retain_depth == expected
         member.last_admitted_seq = sh.next_seq - 1  # fully caught up

@@ -1,17 +1,26 @@
-"""Topology pins: one table of full chaos digests per deployment shape.
+"""`repro.topology`: the string form, the builder, and the digest pins.
 
-Recorded at commit b8e41a0, before the `Topology` refactor, through the
-seven mode flags `run_chaos` took then. Every row must reproduce
-byte-for-byte through every later change to how a stack is described or
-built; a digest that moves is a defect, not a re-pin.
+The pin table holds one full chaos digest per deployment shape, recorded
+at commit b8e41a0 — before the `Topology` refactor, through the seven
+mode flags `run_chaos` took then. Every row must reproduce byte-for-byte
+through every later change to how a stack is described or built; a
+digest that moves is a defect, not a re-pin. CI's chaos job reads its
+`batched` pin from this table too.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.adversary.redteam import run_redteam
-from repro.faults.chaos import run_chaos
+from repro.cli import main
+from repro.faults.chaos import ChaosReport, run_chaos
+from repro.topology import SERVING, Topology, build
 
 #: (topology, seed, ops, records) -> ChaosReport.digest()
 CHAOS_DIGESTS = {
@@ -70,34 +79,130 @@ REDTEAM_DIGESTS = {
     7: "1aa37623492f51a24a74412cc486b3464484f5c975ce33e1cd27982dc1859b9f",
 }
 
-#: The flag spelling each topology string had when the table was cut.
-_FLAGS_AT_B8E41A0 = {
-    "direct": {},
-    "server": {"server": True},
-    "batched": {"batched": True},
-    "pipelined": {"pipelined": True},
-    "failover": {"failover": True},
-    "failover:3": {"failover": True, "standbys": 3},
-    "pipelined+failover": {"pipelined": True, "failover": True},
-    "batched+failover": {"batched": True, "failover": True},
-    "scrub": {"scrub": True},
-    "server+scrub": {"server": True, "scrub": True},
-    "server+slo": {"server": True, "obs": True},
-}
 
-
-class TestPinnedDigests:
-    @pytest.mark.parametrize("scenario,digest", sorted(
-        CHAOS_DIGESTS.items()), ids=lambda v: str(v))
-    def test_chaos_digest_is_byte_identical(self, scenario, digest):
+class TestPins:
+    @pytest.mark.parametrize("scenario", sorted(CHAOS_DIGESTS),
+                             ids=lambda v: "-".join(map(str, v)))
+    def test_chaos_digest(self, scenario):
         topology, seed, ops, records = scenario
         report = run_chaos(seed=seed, ops=ops, records=records,
-                           **_FLAGS_AT_B8E41A0[topology])
+                           topology=topology)
         assert report.ok
-        assert report.digest() == digest
+        assert report.digest() == CHAOS_DIGESTS[scenario]
 
-    @pytest.mark.parametrize("seed,digest", sorted(REDTEAM_DIGESTS.items()))
-    def test_redteam_digest_is_byte_identical(self, seed, digest):
+    @pytest.mark.parametrize("seed", sorted(REDTEAM_DIGESTS))
+    def test_redteam_digest(self, seed):
         report = run_redteam(seed=seed)
         assert report.escapes == 0
-        assert report.digest() == digest
+        assert report.digest() == REDTEAM_DIGESTS[seed]
+
+
+class TestStringForm:
+    @given(st.sampled_from(SERVING), st.integers(0, 40), st.booleans(),
+           st.booleans())
+    def test_parse_inverts_str(self, serving, standbys, scrub, slo):
+        if serving == "direct" and standbys:
+            with pytest.raises(ValueError):
+                Topology(serving, standbys, scrub, slo)
+            return
+        t = Topology(serving, standbys, scrub, slo)
+        assert Topology.parse(str(t)) == t
+
+    @pytest.mark.parametrize("text,fields", [
+        ("direct", ("direct", 0, False, False)),
+        ("scrub", ("direct", 0, True, False)),
+        ("failover", ("server", 1, False, False)),
+        ("server+failover", ("server", 1, False, False)),
+        ("failover:3+scrub", ("server", 3, True, False)),
+        ("slo+pipelined+failover:2", ("pipelined", 2, False, True)),
+    ])
+    def test_shorthand_and_term_order(self, text, fields):
+        assert Topology.parse(text) == Topology(*fields)
+
+    @pytest.mark.parametrize("text", [
+        "", "+", "server+", "turbo", "Server", "direct+failover",
+        "failover:0", "failover:", "failover:x", "failover:-1", "direct:2",
+        "server+batched", "scrub+scrub", "failover+failover:2",
+        "pipelined+slo+slo",
+    ])
+    def test_unknown_or_contradictory_strings_raise(self, text):
+        with pytest.raises(ValueError):
+            Topology.parse(text)
+
+    def test_constructor_rejects_what_parse_rejects(self):
+        for bad in (("turbo",), ("direct", 1), ("server", -1)):
+            with pytest.raises(ValueError):
+                Topology(*bad)
+
+
+#: The shapes CI soaks, the pin table keys on, and docs/PROTOCOL.md lists.
+PRESETS = sorted({scenario[0] for scenario in CHAOS_DIGESTS}
+                 | {"pipelined+slo", "failover:3+scrub"})
+
+
+class TestBuild:
+    @pytest.mark.parametrize("text", PRESETS)
+    def test_every_preset_serves_and_closes_an_epoch(self, text):
+        topology = Topology.parse(text)
+        items = [(k, b"seed-%d" % k) for k in range(24)]
+        stack = build(topology, items, seed=3, label="preset")
+        assert (stack.server is not None) == topology.served
+        assert (stack.sdk is not None) == topology.served
+        assert stack.op(5).payload == b"seed-5"
+        stack.op(5, b"written")
+        assert stack.op(5).payload == b"written"
+        before = stack.client.settled_epoch
+        stack.close_epoch()
+        assert stack.client.settled_epoch > before
+        assert stack.now >= 0.0
+        if topology.served:
+            config = stack.server.config
+            assert config.group_commit == topology.batched
+            assert config.pipeline == (topology.serving == "pipelined")
+            assert config.scrub_enabled == topology.scrub
+            assert (config.slo is not None) == topology.slo
+            group = stack.server.replication
+            assert (len(group.standbys) if group else 0) == topology.standbys
+
+    def test_server_overrides_and_conditional_slo(self):
+        from repro.obs.slo import SloConfig
+        tight = SloConfig(verified_p99_budget=1.0)
+        items = [(k, b"v") for k in range(8)]
+        plain = build(Topology("batched"), items, seed=1, label="x",
+                      server={"max_batch_ops": 64, "slo": tight})
+        assert plain.server.config.max_batch_ops == 64
+        assert plain.server.config.slo is None
+        armed = build(Topology("batched", slo=True), items, seed=1,
+                      label="x", server={"slo": tight})
+        assert armed.server.config.slo is tight
+
+
+class TestCli:
+    def test_json_carries_every_report_field_but_forensics(self, capsys):
+        code = main(["chaos", "--seed", "7", "--ops", "200", "--records",
+                     "60", "--topology", "server+scrub", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        fields = {f.name for f in dataclasses.fields(ChaosReport)}
+        assert set(payload) == (fields - {"forensics"}) | {
+            "digest", "ok", "mode"}
+        assert payload["mode"] == "server+scrub"
+        assert payload["scrub"] is True
+        report = run_chaos(seed=7, ops=200, records=60,
+                           topology="server+scrub")
+        assert payload["digest"] == report.digest()
+
+    @pytest.mark.parametrize("flag", [
+        "--server", "--failover", "--batched", "--pipelined", "--scrub",
+        "--obs", "--standbys"])
+    @pytest.mark.parametrize("command", ["chaos", "trace", "obs"])
+    def test_the_old_mode_flags_no_longer_parse(self, command, flag):
+        argv = [command] + (["tail"] if command == "obs" else []) + [flag]
+        with pytest.raises(SystemExit):
+            main(argv + (["3"] if flag == "--standbys" else []))
+
+    def test_contradictory_topology_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--topology", "direct+failover"])
+        assert exc.value.code == 2
+        assert "direct" in capsys.readouterr().err
