@@ -305,6 +305,20 @@ def cmd_attacks(_args) -> int:
     return 0
 
 
+def _write_forensics(report) -> None:
+    """A chaos or red-team report that failed carries the run's trace
+    events; dump them next to the operator, keyed by the fault seed."""
+    if report.forensics is None:
+        return
+    import json
+    path = f"trace_forensics_seed{report.seed}.json"
+    with open(path, "w") as fh:
+        json.dump(report.forensics, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path} ({len(report.forensics['events'])} trace "
+          f"events for forensics)")
+
+
 def cmd_redteam(args) -> int:
     """The ``chaos --redteam`` mode: the zero-escape byzantine gate."""
     import json
@@ -343,13 +357,7 @@ def cmd_redteam(args) -> int:
             print(f"{v.attack:<16} {v.topology:<9} {verdict:<9} "
                   f"{v.detector:<21} {v.latency_ticks:>8.1f}")
         print(f"digest               {report.digest()}")
-    if report.forensics is not None:
-        path = f"trace_forensics_seed{report.seed}.json"
-        with open(path, "w") as fh:
-            json.dump(report.forensics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path} ({len(report.forensics['events'])} trace "
-              f"events for forensics)")
+    _write_forensics(report)
     if report.escapes:
         for v in report.verdicts:
             if v.escaped:
@@ -430,14 +438,7 @@ def cmd_chaos(args) -> int:
                   "the error carries the fault seed and trace digest")
         print(f"fault fires          {report.fault_fires}")
         print(f"digest               {report.digest()}")
-    if report.forensics is not None:
-        import json
-        path = f"trace_forensics_seed{report.seed}.json"
-        with open(path, "w") as fh:
-            json.dump(report.forensics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path} ({len(report.forensics['events'])} trace "
-              f"events for forensics)")
+    _write_forensics(report)
     if report.hard_failures:
         for failure in report.hard_failures:
             print("HARD FAILURE:", failure)

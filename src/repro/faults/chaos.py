@@ -496,68 +496,47 @@ class _ChaosRun:
             self._unsettled_serves.clear()
 
     def _one_op(self, kind: str, k: int, payload: bytes | None) -> None:
+        """One op through whatever stack the topology has.
+
+        Served, the SDK's contract makes the oracle tractable: a return
+        means the operation was applied exactly once; a raise means it
+        provably never was (the SDK cancels before giving up). Heals that
+        happened mid-call are folded in *before* this op's own effect,
+        because the attempt that finally succeeded ran after the last
+        heal."""
         if self.topology.batched:
             self._burst.append((kind, k, payload))
             if len(self._burst) >= self.BURST:
                 self._flush_burst()
             return
-        if self.server is not None:
-            self._one_op_server(kind, k, payload)
-            return
+        served = self.server is not None
         self.report.ops_attempted += 1
-        result = self.stack.op(k, payload, worker=k % 2)
-        if kind == OP_GET:
-            expected = self.current.get(k)
-            if result.payload != expected:
-                if not self._note_provisional_serve(
-                        f"get({k}) returned {result.payload!r}, "
-                        f"oracle says {expected!r}"):
-                    self.report.hard_failures.append(
-                        f"silent wrong answer: get({k}) returned "
-                        f"{result.payload!r}, oracle says {expected!r}")
-                return
-        else:
-            self.current[k] = payload
-            self.history.setdefault(k, set()).add(payload)
-        self.report.ops_ok += 1
-
-    def _one_op_server(self, kind: str, k: int, payload: bytes | None) -> None:
-        """One op through the full pipeline: SDK -> server -> FastVer.
-
-        The SDK's contract makes the oracle tractable: a return means the
-        operation was applied exactly once; a raise means it provably
-        never was (the SDK cancels before giving up). Heals that happened
-        mid-call are folded in *before* this op's own effect, because the
-        attempt that finally succeeded ran after the last heal."""
-        self.report.ops_attempted += 1
-        if kind == OP_PUT:
+        if served and kind == OP_PUT:
             # Record the *attempted* value up front: a put interrupted
             # mid-apply can still leave its record in the log, where a
             # later salvage may legitimately resurrect it.
             self.history.setdefault(k, set()).add(payload)
         try:
-            result = self.stack.op(k, payload)
-        except Exception:
-            self._absorb_heals()
-            raise
-        self._absorb_heals()
+            result = self.stack.op(k, payload, worker=k % 2)
+        finally:
+            if served:
+                self._absorb_heals()
         if kind == OP_GET:
             # A degraded read is served from the durable tier and says so;
             # its truth is the checkpointed state, not the provisional one.
-            expected = (self.committed.get(k) if result.degraded
+            degraded = f" (degraded={result.degraded})" if served else ""
+            expected = (self.committed.get(k) if served and result.degraded
                         else self.current.get(k))
             if result.payload != expected:
-                if not self._note_provisional_serve(
-                        f"get({k}) returned {result.payload!r} "
-                        f"(degraded={result.degraded}), "
-                        f"oracle says {expected!r}"):
-                    self.report.hard_failures.append(
-                        f"silent wrong answer: get({k}) returned "
-                        f"{result.payload!r} (degraded={result.degraded}), "
+                desc = (f"get({k}) returned {result.payload!r}{degraded}, "
                         f"oracle says {expected!r}")
+                if not self._note_provisional_serve(desc):
+                    self.report.hard_failures.append(
+                        f"silent wrong answer: {desc}")
                 return
         else:
             self.current[k] = payload
+            self.history.setdefault(k, set()).add(payload)
         self.report.ops_ok += 1
 
     def _classify_burst_error(self, desc: str, err: Exception) -> bool:

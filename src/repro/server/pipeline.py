@@ -422,29 +422,50 @@ class FastVerServer:
     def pump(self, max_requests: int | None = None) -> int:
         """Process queued requests FIFO; returns how many were processed.
 
-        With ``config.group_commit`` set, the drain stages operations into
-        per-verifier-shard batches and settles each in a single
-        multi-shard ecall; every ticket still resolves before pump
-        returns (receipt-synchronous group commit). Otherwise each
-        request executes on its own — the legacy loop, unchanged."""
-        if self.config.group_commit:
-            processed = self._pump_batched(max_requests)
-        else:
-            processed = 0
-            while self.queue and (max_requests is None
-                                  or processed < max_requests):
-                ticket = self.queue.popleft()
-                self._advance(TIME_PER_REQUEST)
-                request = ticket.request
-                if request.submitted_at is not None:
-                    LATENCIES.observe("admission_wait",
-                                      self.now - request.submitted_at,
-                                      trace=request.trace)
+        One loop takes tickets off the queue; the serving mode decides
+        what happens to each. Per-op (the default): it executes on its
+        own. ``config.group_commit``: it is staged into its verifier
+        shard's open batch (:meth:`_stage`) and each batch settles in one
+        multi-shard ecall; every open batch flushes and settles before
+        pump returns — group commit batches crossings, never
+        acknowledgements. ``config.pipeline`` on top of that: the pump
+        first settles receipts streamed back from batches dispatched on
+        earlier pumps, and open batches may stay staged across pumps
+        while new work keeps arriving, so deep batches fill while
+        admission continues; an idle pump (nothing admitted, queue
+        empty) dispatches whatever is staged rather than stall."""
+        batched = self.config.group_commit
+        pipelined = batched and self.config.pipeline
+        if pipelined:
+            self._pump_seq += 1
+            self._settle_inflight()
+        processed = 0
+        while self.queue and (max_requests is None
+                              or processed < max_requests):
+            ticket = self.queue.popleft()
+            self._advance(TIME_PER_REQUEST)
+            request = ticket.request
+            if request.submitted_at is not None:
+                LATENCIES.observe("admission_wait",
+                                  self.now - request.submitted_at,
+                                  trace=request.trace)
+            if batched:
+                self._stage(ticket)
+            else:
                 try:
                     self._execute(ticket)
                 except Exception as exc:
                     self._fail(ticket, exc)
-                processed += 1
+            processed += 1
+        if pipelined:
+            self._flush_due()
+            if processed == 0 and not self.queue:
+                # Idle pump: no new arrivals can deepen the open batches
+                # this pump, so dispatch them instead of stalling the
+                # receipt stream.
+                self._flush_open_batches()
+        elif batched:
+            self._flush_open_batches()
         self._scrub_pump()
         if self.replication is not None:
             self.replication.pump()
@@ -704,85 +725,53 @@ class FastVerServer:
     # ------------------------------------------------------------------
     # Group-commit batching (opt-in via config.group_commit)
     # ------------------------------------------------------------------
-    def _pump_batched(self, max_requests: int | None = None) -> int:
-        """Drain the admission queue into per-shard batches and settle
-        each batch in one multi-shard ecall.
+    def _stage(self, ticket: Ticket) -> None:
+        """Admit one ticket into its shard's open batch (or resolve it
+        early: typed admission error, dedup hit, degraded/replica read).
 
         Flush policy: a shard flushes when it reaches ``max_batch_ops``,
         when its oldest staged op has lingered ``max_batch_ticks``, when a
         staged op's deadline is about to expire, or when a retry of an
         already-staged (client, nonce) arrives (so the retry is answered
-        from the idempotency table instead of being staged twice).
-
-        Receipt-synchronous mode (the default): every open batch flushes
-        and settles before pump returns — group commit batches crossings,
-        never acknowledgements. Pipelined mode (``config.pipeline``):
-        the pump first settles receipts streamed back from batches
-        dispatched on earlier pumps, and open batches may stay staged
-        across pumps while new work keeps arriving, so deep batches fill
-        while admission continues; an idle pump (nothing admitted, queue
-        empty) dispatches whatever is staged rather than stall."""
-        processed = 0
-        pipelined = self.config.pipeline
-        if pipelined:
-            self._pump_seq += 1
-            self._settle_inflight()
-        while self.queue and (max_requests is None
-                              or processed < max_requests):
-            ticket = self.queue.popleft()
-            self._advance(TIME_PER_REQUEST)
-            processed += 1
-            if ticket.request.submitted_at is not None:
-                LATENCIES.observe("admission_wait",
-                                  self.now - ticket.request.submitted_at,
-                                  trace=ticket.request.trace)
-            try:
-                early = self._admission(ticket.request)
-            except Exception as exc:
-                self._fail(ticket, exc)
-                continue
-            if early is None:
-                early = self._try_replica(ticket.request)
-            if early is not None:
-                ticket.result = early
+        from the idempotency table instead of being staged twice)."""
+        request = ticket.request
+        try:
+            early = self._admission(request)
+        except Exception as exc:
+            self._fail(ticket, exc)
+            return
+        if early is None:
+            early = self._try_replica(request)
+        if early is not None:
+            ticket.result = early
+            ticket.done = True
+            return
+        dedup_key = request.dedup_key
+        staged_at = self._staged_keys.get(dedup_key)
+        if staged_at is not None:
+            # Dedup-aware flush: commit the staged twin first, then
+            # answer this retry from the table it just landed in.
+            self._flush_shard(staged_at)
+            hit = self.completed.get(dedup_key)
+            if hit is not None:
+                ticket.result = replace(hit.result, deduped=True,
+                                        generation=self.generation)
                 ticket.done = True
-                continue
-            dedup_key = ticket.request.dedup_key
-            staged_at = self._staged_keys.get(dedup_key)
-            if staged_at is not None:
-                # Dedup-aware flush: commit the staged twin first, then
-                # answer this retry from the table it just landed in.
-                self._flush_shard(staged_at)
-                hit = self.completed.get(dedup_key)
-                if hit is not None:
-                    ticket.result = replace(hit.result, deduped=True,
-                                            generation=self.generation)
-                    ticket.done = True
-                    continue
-                # The twin failed; this attempt proceeds on its own.
-            shard = ticket.request.worker % self.db.config.n_workers
-            batch = self._shard_batches.setdefault(shard, [])
-            if not batch:
-                self._shard_opened[shard] = self.now
-            ticket.staged_at = self.now
-            TRACER.record("stage", self.now, ticket.request.trace,
-                          shard=shard, depth=len(batch) + 1)
-            batch.append(ticket)
-            self._staged_keys[dedup_key] = shard
-            if len(batch) >= self._batch_limit(shard):
-                self._flush_shard(shard)
-            else:
-                self._flush_due()
-        if pipelined:
-            self._flush_due()
-            if processed == 0 and not self.queue:
-                # Idle pump: no new arrivals can deepen the open batches
-                # this pump, so dispatch them instead of stalling the
-                # receipt stream.
-                self._flush_open_batches()
+                return
+            # The twin failed; this attempt proceeds on its own.
+        shard = request.worker % self.db.config.n_workers
+        batch = self._shard_batches.setdefault(shard, [])
+        if not batch:
+            self._shard_opened[shard] = self.now
+        ticket.staged_at = self.now
+        TRACER.record("stage", self.now, request.trace,
+                      shard=shard, depth=len(batch) + 1)
+        batch.append(ticket)
+        self._staged_keys[dedup_key] = shard
+        if len(batch) >= self._batch_limit(shard):
+            self._flush_shard(shard)
         else:
-            self._flush_open_batches()
-        return processed
+            self._flush_due()
 
     def _batch_limit(self, shard: int) -> int:
         """Effective max_batch_ops for a shard: the controller's adapted
