@@ -15,8 +15,8 @@ and larger sizes show pure crossing amortization at identical answers.
 Pipelined framing: under the ``pipelined`` topology the per-shard
 flushes become independent ecalls whose receipts stream back across
 later pumps, so the host stages the next wave while the verifier digests
-the last one and the enclave side runs shard-parallel. Those rows are modeled with
-:meth:`CostModel.pipelined_total_ns` and must clear
+the last one and the enclave side runs shard-parallel. Those rows are
+modeled with :meth:`CostModel.pipelined_total_ns` and must clear
 :data:`PIPELINED_TARGET_RATIO` over the synchronous batch-64 row at
 equal-or-better admission-wait p95.
 

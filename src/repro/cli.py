@@ -30,6 +30,10 @@ Commands:
                the live ring), or print an ``slo-report`` of burn-rate
                alerts and exemplars from an SLO-armed run
 
+``chaos``, ``trace`` and ``obs`` name the stack they run with one
+``--topology`` string (``pipelined+failover``, ``failover:3+scrub``; see
+:mod:`repro.topology`).
+
 These wrap the same public APIs the examples use; the CLI exists so a
 downstream user can poke the system without writing code.
 """
@@ -671,7 +675,8 @@ def _query(source, args, noun: str) -> int:
     """Answer the --find-lifecycle / --trace / --kind / --last filters
     from ``source`` (the ring, a live spool, or a cold spool reader)."""
     if args.find_lifecycle:
-        kinds = {k.strip() for k in args.find_lifecycle.split(",") if k.strip()}
+        kinds = {k.strip() for k in args.find_lifecycle.split(",")
+                 if k.strip()}
         trace = source.find_lifecycle(kinds)
         if trace is None:
             print(f"no {noun}trace covers all of: {sorted(kinds)}")

@@ -524,10 +524,10 @@ class _ChaosRun:
         if kind == OP_GET:
             # A degraded read is served from the durable tier and says so;
             # its truth is the checkpointed state, not the provisional one.
-            degraded = f" (degraded={result.degraded})" if served else ""
             expected = (self.committed.get(k) if served and result.degraded
                         else self.current.get(k))
             if result.payload != expected:
+                degraded = f" (degraded={result.degraded})" if served else ""
                 desc = (f"get({k}) returned {result.payload!r}{degraded}, "
                         f"oracle says {expected!r}")
                 if not self._note_provisional_serve(desc):
