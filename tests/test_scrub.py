@@ -465,6 +465,44 @@ class TestQuorumSources:
         assert repaired and repaired[0].source == "server-cache"
         assert db.get(client, key.bits).payload == b"v%d" % key.bits
 
+    def test_post_restore_suspect_triage_repairs_the_rotted_page(self):
+        """Latent rot found by a *client touch*, not the scrub walk: the
+        alarm names the key a suspect, the ladder restores (the session
+        is dirty, so the repair rung declines), and the post-restore
+        triage re-checks the suspect's page, quarantines it and repairs
+        it — otherwise the restore re-reads the same rotten bytes and the
+        next touch restarts the ladder. (Group commit crosses into the
+        enclave inside the touch, so the alarm lands on the op itself.)"""
+        from repro.errors import IntegrityError
+        from repro.server import FastVerServer, ServerConfig
+        from tests.test_replication import envelope
+
+        db, client = scrub_db(n_records=40)
+        server = FastVerServer(
+            db, ServerConfig(scrub_enabled=True, scrub_budget_pages=1,
+                             group_commit=True),
+            warm=[(k, b"v%d" % k) for k in range(40)])
+        address, key = merkle_at_rest(db)[-1]
+        pages = db.store.log.device._pages
+        blob = pages[address]
+        pages[address] = blob[:-2] + bytes([blob[-2] ^ 0x20]) + blob[-1:]
+        with pytest.raises(IntegrityError):
+            server.handle(envelope(server, client, "get", key.bits))
+        assert server._suspect_keys == {key}
+        assert server.force_heal()
+        assert server.supervisor._last_rung == "restore"
+        assert not server._suspect_keys
+        assert db.store.quarantined_addresses == []
+        triaged = [(a.reason, a.outcome)
+                   for a in server.scrubber().ledger.actions
+                   if a.address == address]
+        assert triaged == [("suspect:hash-mismatch", "quarantined"),
+                           ("merkle", "repaired")]
+        heals = server.supervisor.heals
+        result = server.handle(envelope(server, client, "get", key.bits))
+        assert result.payload == b"v%d" % key.bits
+        assert server.supervisor.heals == heals and not server.degraded
+
 
 # ======================================================================
 # Observability plumbing

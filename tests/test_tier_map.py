@@ -1,0 +1,232 @@
+"""The verification tiers, pinned: *which* verifier commands and store
+writes the host issues, in *what order*.
+
+``COUNTERS`` (and every ``counters_digest`` built on them) pin how much
+work ran; two schedules that append the same number of ``add_merkle``
+entries in a different order, or upsert the same keys with different aux
+words, count the same. The pins here hash the full command stream — each
+``VerificationLog.append`` as ``(verifier, method, every argument except
+the client MAC tag)`` and each ``FasterKV.upsert`` / ``try_cas`` as
+``(key, value, aux word)`` — over a table of deterministic schedules that
+between them cross every tier transition: cold and warm ops, LRU
+eviction, inserts that extend and split, deletes, absence proofs, the
+hot-record tier, unsorted re-application, partition rebalancing,
+checkpoint + recovery, record repair on each tier and a poisoned batch.
+
+The digests were recorded at the commit *before* the tier bookkeeping
+was gathered into one reader and one set of transitions; a refactor of
+``core/fastver.py`` must leave every one of them unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro import FastVer, FastVerConfig, new_client
+from repro.core.log import VerificationLog
+from repro.core.records import DataValue, encode_value
+from repro.errors import RepairForgeryError, SignatureError
+from repro.faults import FaultPlan, install_faults
+from repro.store.faster import FasterKV
+
+
+def _plain(arg) -> bytes:
+    """A stable byte form of one log argument (keys, values, ints, ...)."""
+    if arg is None or isinstance(arg, (int, str, bytes)):
+        return repr(arg).encode()
+    if hasattr(arg, "to_bytes") and hasattr(arg, "length"):      # BitKey
+        return b"K%d:%d" % (arg.length, arg.bits)
+    return b"V" + encode_value(arg)                              # Value
+
+
+class CommandStream:
+    """sha256 over every verifier log entry and store write, in order."""
+
+    def __init__(self, monkeypatch):
+        self.hash = hashlib.sha256()
+        self.entries = 0
+        stream = self
+        log_append = VerificationLog.append
+        upsert, try_cas = FasterKV.upsert, FasterKV.try_cas
+
+        def append(log, method, *args):
+            # validate_put_*: (client, key, payload, nonce, tag, ...) — the
+            # tag is a MAC under a per-process random key; everything else
+            # is deterministic.
+            kept = [a for i, a in enumerate(args)
+                    if not (method.startswith("validate_put") and i == 4)]
+            stream.feed(b"L", b"%d" % log.verifier_id, method.encode(), *kept)
+            return log_append(log, method, *args)
+
+        def traced_upsert(store, key, value, aux=0):
+            stream.feed(b"U", key, value, aux)
+            return upsert(store, key, value, aux)
+
+        def traced_cas(store, key, old_value, old_aux, new_value, new_aux):
+            won = try_cas(store, key, old_value, old_aux, new_value, new_aux)
+            stream.feed(b"C", key, new_value, new_aux, int(won))
+            return won
+
+        monkeypatch.setattr(VerificationLog, "append", append)
+        monkeypatch.setattr(FasterKV, "upsert", traced_upsert)
+        monkeypatch.setattr(FasterKV, "try_cas", traced_cas)
+
+    def feed(self, *parts) -> None:
+        self.entries += 1
+        for part in parts:
+            blob = part if isinstance(part, bytes) and len(part) == 1 \
+                else _plain(part)
+            self.hash.update(len(blob).to_bytes(4, "big"))
+            self.hash.update(blob)
+
+    def digest(self) -> str:
+        return f"{self.entries}:{self.hash.hexdigest()[:32]}"
+
+
+def build(n_records=60, **cfg):
+    cfg.setdefault("key_width", 16)
+    cfg.setdefault("cache_capacity", 32)
+    db = FastVer(FastVerConfig(**cfg),
+                 items=[(k * 7, b"v%d" % k) for k in range(n_records)])
+    client = new_client(1)
+    db.register_client(client)
+    return db, client
+
+
+def mixed_ops(db, client, steps, workers=1, span=500, stride=37):
+    """Gets, updates, inserts (extend + split), deletes and absent reads
+    from one arithmetic sequence — no RNG, so the schedule is the code."""
+    for i in range(steps):
+        key = (i * stride) % span
+        if i % 3:
+            key = (key % 60) * 7        # two in three land on loaded keys
+        worker = i % workers
+        if i % 5 == 0:
+            db.put(client, key, b"p%d" % i, worker=worker)
+        elif i % 11 == 3:
+            db.put(client, key, None, worker=worker)
+        else:
+            db.get(client, key, worker=worker)
+        if i % 50 == 49:
+            db.verify()
+    db.verify()
+    db.flush()
+
+
+# ----------------------------------------------------------------------
+# The schedules
+# ----------------------------------------------------------------------
+def cold_one_worker():
+    db, client = build()
+    mixed_ops(db, client, 160)
+    db.put(client, 40_000, b"right")          # extends the root's empty side
+    db.verify()
+
+
+def partitioned_four_workers():
+    db, client = build(n_workers=4, partition_depth=3)
+    mixed_ops(db, client, 240, workers=4)
+    # Dense inserts under one prefix: splits above and extends below.
+    for k in range(40_000, 40_030):
+        db.put(client, k, b"grow", worker=k % 4)
+    db.get(client, 65_000, worker=1)          # absent
+    db.put(client, 65_001, None, worker=2)    # delete of an absent key
+    db.verify()
+
+
+def hot_records():
+    db, client = build(n_workers=2, partition_depth=2, cache_hot_records=True)
+    mixed_ops(db, client, 200, workers=2, span=120)
+    db.flush_caches()
+    mixed_ops(db, client, 60, workers=2, span=120, stride=13)
+
+
+def unsorted_reapplication():
+    db, client = build(n_workers=2, partition_depth=2,
+                       sorted_merkle_updates=False)
+    mixed_ops(db, client, 150, workers=2)
+
+
+def grow_then_rebalance():
+    db, client = build(n_workers=2, partition_depth=3, cache_capacity=64)
+    for k in range(30_000, 30_120):
+        db.put(client, k, b"grown", worker=k % 2)
+    db.verify()
+    db.flush()
+    moved = db.rebalance_partitions()
+    assert moved != (0, 0)
+    mixed_ops(db, client, 80, workers=2)
+    db.rebalance_partitions()
+    db.verify()
+
+
+def checkpoint_recover_continue():
+    db, client = build(n_workers=2, partition_depth=3, cache_hot_records=True)
+    mixed_ops(db, client, 90, workers=2)
+    checkpoint = db.checkpoint()
+    for i in range(20):
+        db.put(client, i * 7, b"lost%d" % i, worker=i % 2)
+    db.enclave.reboot()
+    db.recover(checkpoint)
+    mixed_ops(db, client, 90, workers=2, stride=41)
+
+
+def repair_each_tier():
+    db, client = build(n_workers=2, partition_depth=3, cache_hot_records=True)
+    db.verify()
+    db.get(client, 7)                          # retained: cached tier
+    db.checkpoint()
+    cached = db.data_key(7)
+    assert cached in db.cached_where
+    assert db.repair_record(cached, None) == "cached"
+    deferred = min(db.deferred_index, key=lambda k: (k.length, k.bits))
+    authentic = db.store.read_record(deferred).value
+    assert db.repair_record(deferred, authentic) == "deferred"
+    merkle = db.data_key(14)
+    assert merkle not in db.cached_where and merkle not in db.deferred_index
+    with pytest.raises(RepairForgeryError):    # host pre-vet refuses
+        db.repair_record(merkle, DataValue(b"forged"))
+    assert db.repair_record(merkle, DataValue(b"v2")) == "merkle"
+    other = db.data_key(21)
+    with pytest.raises(RepairForgeryError):    # enclave gate refuses
+        db.repair_record(other, DataValue(b"forged"), host_prevet=False)
+
+
+def poisoned_batch():
+    db, client = build(n_workers=2, partition_depth=3)
+    db.verify()
+    db.checkpoint()
+    install_faults(db, FaultPlan(3, {"batch.partial": [0]}))
+    ops = []
+    for i in range(8):
+        key = db.data_key(i * 7)
+        if i % 3 == 2:
+            ops.append((client, client.make_get(key), "get", i % 2))
+        else:
+            ops.append((client, client.make_put(key, b"b%d" % i), "put", i % 2))
+    outcomes = db.apply_batch(ops)
+    failed = [o for o in outcomes if o.error is not None]
+    assert len(failed) == 1 and isinstance(failed[0].error, SignatureError)
+    install_faults(db, None)
+    db.verify()
+
+
+SCHEDULES = {
+    cold_one_worker: "2643:18a2d501fff740913c4c04b7d88ee03f",
+    partitioned_four_workers: "1941:cc36e67aa88c406d95d192d808bf62c7",
+    hot_records: "2215:027898b0b88407e54071a8dbac5b9aee",
+    unsorted_reapplication: "1454:253f0c0cdf78b1fe5a8e536e40ac53d0",
+    grow_then_rebalance: "2682:6e519a7089ede6dca08a88b5329f182a",
+    checkpoint_recover_continue: "1321:daaab41c11e4cc7126fccf11d9c48150",
+    repair_each_tier: "221:ac11c923c96182a7e314ab0ff0a078af",
+    poisoned_batch: "300:aac7c96b77c979f44263549979408df3",
+}
+
+
+@pytest.mark.parametrize("schedule", list(SCHEDULES), ids=lambda f: f.__name__)
+def test_command_stream_pin(schedule, monkeypatch):
+    stream = CommandStream(monkeypatch)
+    schedule()
+    assert stream.digest() == SCHEDULES[schedule]
