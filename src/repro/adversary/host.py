@@ -99,7 +99,7 @@ def corrupt_merkle_pointer(db: FastVer, key: int) -> str:
     """
     bk = db.data_key(key)
     from repro.merkle.sparse import FOUND, lookup
-    result = lookup(db._host_value, bk)
+    result = lookup(db.host_value, bk)
     if result.kind != FOUND:
         raise ProtocolError("target not in tree")
     chain = list(result.path)  # root ... terminal
@@ -108,11 +108,11 @@ def corrupt_merkle_pointer(db: FastVer, key: int) -> str:
         # A meaningful corruption needs the child's next add_merkle to be
         # checked against this holder's stored hash: both must be uncached
         # and the child must be Merkle-protected.
-        child_ok = (child not in db.cached_where
+        child_ok = (db.tier_of(child) != "cached"
                     and db.store.read_record(child) is not None
                     and Aux.unpack(db.store.read_record(child).aux).state
                     is Protection.MERKLE)
-        if holder in db.cached_where or not child_ok:
+        if db.tier_of(holder) == "cached" or not child_ok:
             child = holder
             continue
         record = db.store.read_record(holder)
@@ -130,7 +130,7 @@ def skip_migration(db: FastVer, key: int) -> str:
     """'Forget' to migrate a deferred record at epoch close: its write
     entry stays unmatched, so the close must fail."""
     bk = db.data_key(key)
-    if bk not in db.deferred_index:
+    if db.tier_of(bk) != "deferred":
         raise ProtocolError("skip-migration attack needs a deferred record")
     del db.deferred_index[bk]
     return "record dropped from the migration index"

@@ -521,8 +521,7 @@ def attack_scrub_evasion(c: _Campaign):
                                key=lambda kv: (kv[0].length, kv[0].bits)):
         if (key.length == db.config.key_width
                 and not db.store.log.in_memory(address)
-                and key not in db.cached_where
-                and key not in db.deferred_index):
+                and db.tier_of(key) == "merkle"):
             target, t_address = key, address
             break
     if target is None:

@@ -27,6 +27,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+#: Growth factor of the raw (pre-jitter) delay between attempts.
+MULTIPLIER = 2.0
+
 
 @dataclass
 class BackoffPolicy:
@@ -40,7 +43,6 @@ class BackoffPolicy:
     max_attempts: int = 4
     base_delay: float = 1.0
     max_delay: float = 64.0
-    multiplier: float = 2.0
     #: "full" draws uniform(0, d); "none" uses the raw exponential delay
     #: (useful when a test needs exact delay values).
     jitter: str = "full"
@@ -57,8 +59,6 @@ class BackoffPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays cannot be negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
         if self.jitter not in ("full", "none"):
             raise ValueError(f"unknown jitter mode {self.jitter!r}")
         self._rng = random.Random(f"backoff:{self.seed}")
@@ -71,7 +71,7 @@ class BackoffPolicy:
                 yield 0.0
                 continue
             raw = min(self.max_delay,
-                      self.base_delay * self.multiplier ** (attempt - 1))
+                      self.base_delay * MULTIPLIER ** (attempt - 1))
             yield self._rng.uniform(0.0, raw) if self.jitter == "full" else raw
 
     def sleep(self, delay: float) -> None:

@@ -51,7 +51,7 @@ def _rot_one_page(server: FastVerServer) -> tuple[int, object]:
                                key=lambda kv: kv[1]):
         if key.length != db.config.key_width:
             continue
-        if key in db.cached_where or key in db.deferred_index:
+        if db.tier_of(key) != "merkle":
             continue
         if store.log.in_memory(address) or address not in device:
             continue
@@ -79,7 +79,7 @@ def _measure_repair(server: FastVerServer) -> tuple[float, dict]:
         raise RuntimeError(f"scrubber never quarantined rotted page "
                            f"{address}")
     before = server.now
-    repaired = scrub._repair_quarantined()
+    repaired = scrub.repair_pending()
     mttr = server.now - before
     if not repaired or server.db.store.quarantined_addresses:
         raise RuntimeError("single-page repair did not converge")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.fastver import FastVer
 from repro.core.hostmirror import host_value_hash
 from repro.core.keys import BitKey
-from repro.core.records import Aux, MerkleValue, Protection
+from repro.core.records import Aux, MerkleValue
 
 
 @dataclass
@@ -39,40 +39,28 @@ def audit(db: FastVer) -> AuditReport:
     report = AuditReport()
     width = db.config.key_width
 
-    # 1. Aux words agree with the host indices.
+    # 1. For every record, the tier map, the aux word and the mirrors
+    #    name the same tier (and the same write-set entry within it).
+    stored = set()
     for key, value, aux_word in db.store.items():
         report.records += 1
+        stored.add(key)
         aux = Aux.unpack(aux_word)
-        if key in db.cached_where:
-            report.cached += 1
-            vid = db.cached_where[key]
-            if key not in db.mirrors[vid].entries:
-                report.violations.append(
-                    f"{key!r} cached_where says verifier {vid} but mirror lacks it")
-            if aux.state is not Protection.CACHED:
-                report.violations.append(
-                    f"{key!r} is mirror-cached but aux says {aux.state.name}")
-        elif aux.state is Protection.DEFERRED:
-            report.deferred += 1
-            indexed = db.deferred_index.get(key)
-            if indexed != (aux.timestamp, aux.epoch):
-                report.violations.append(
-                    f"{key!r} aux {aux!r} disagrees with deferred index {indexed}")
-        elif aux.state is Protection.MERKLE:
-            report.merkle += 1
-            if key in db.deferred_index:
-                report.violations.append(
-                    f"{key!r} is merkle-state but still in the deferred index")
-        else:
+        tier = db.tier_of(key)
+        setattr(report, tier, getattr(report, tier) + 1)
+        if tier != aux.state.name.lower():
             report.violations.append(
-                f"{key!r} aux says CACHED but cached_where lost it")
+                f"{key!r} is in the {tier} tier but aux says {aux.state.name}")
+        elif tier == "deferred" and \
+                db.deferred_index[key] != (aux.timestamp, aux.epoch):
+            report.violations.append(
+                f"{key!r} aux {aux!r} disagrees with deferred index "
+                f"{db.deferred_index[key]}")
 
     # 2. Dangling index entries.
-    for key in db.deferred_index:
-        record = db.store.read_record(key)
-        if record is None:
-            report.violations.append(f"deferred index points at missing {key!r}")
-    for key, vid in db.cached_where.items():
+    for key in sorted(set(db.deferred_index) - stored):
+        report.violations.append(f"deferred index points at missing {key!r}")
+    for key, vid in sorted(db.cached_where.items()):
         if key not in db.mirrors[vid].entries:
             report.violations.append(
                 f"cached_where points at missing mirror entry {key!r}")
@@ -96,7 +84,7 @@ def audit(db: FastVer) -> AuditReport:
     # 4. Tree reachability and hash coherence among merkle-state records.
     #    (Hashes for deferred/cached children are legitimately stale, §4.3.1.)
     root = BitKey.root()
-    root_value = db._host_value(root)
+    root_value = db.host_value(root)
     stack = [(root, root_value)]
     seen = set()
     while stack:
@@ -111,19 +99,15 @@ def audit(db: FastVer) -> AuditReport:
             ptr = value.pointer(side)
             if ptr is None:
                 continue
-            child_value = db._host_value(ptr.key)
+            child_value = db.host_value(ptr.key)
             if child_value is None:
                 report.violations.append(f"dangling pointer to {ptr.key!r}")
                 continue
-            child_record = db.store.read_record(ptr.key)
-            child_aux = Aux.unpack(child_record.aux) if child_record else None
-            parent_live = node not in db.cached_where
-            child_cold = (ptr.key not in db.cached_where and child_aux
-                          and child_aux.state is Protection.MERKLE)
-            if parent_live and child_cold:
-                if host_value_hash(child_value) != ptr.hash:
-                    report.violations.append(
-                        f"stale hash for cold child {ptr.key!r} at {node!r}")
+            if db.tier_of(node) != "cached" and \
+                    db.tier_of(ptr.key) == "merkle" and \
+                    host_value_hash(child_value) != ptr.hash:
+                report.violations.append(
+                    f"stale hash for cold child {ptr.key!r} at {node!r}")
             if ptr.key.length < width:
                 stack.append((ptr.key, child_value))
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.backoff import BackoffPolicy
 from repro.core.hostmirror import (
@@ -70,7 +71,6 @@ from repro.instrument import COUNTERS
 from repro.merkle.sparse import ABSENT_NULL, FOUND, lookup
 from repro.obs import LATENCIES, TRACER
 from repro.sim.costs import DEFAULT_COSTS
-from repro.store.atomic import NO_CONTENTION, ContentionInjector
 from repro.store.faster import FasterKV
 
 
@@ -110,8 +110,6 @@ class FastVerConfig:
     enclave_profile: EnclaveCostProfile = SIMULATED
     #: Host store in-memory budget (records) before hybrid-log spill.
     memory_budget_records: int = 1 << 30
-    #: Injected CAS contention (used by the concurrency model).
-    contention: ContentionInjector = NO_CONTENTION
     #: Retry budget + pacing for transient enclave call-gate failures.
     #: ``None`` selects the default policy (4 attempts, jittered
     #: exponential backoff); the serving layer shares the same class.
@@ -147,7 +145,7 @@ class OpResult:
 
 
 @dataclass
-class BatchOpOutcome:
+class BatchOpOutcome(OpResult):
     """Per-operation outcome of a group-commit batch (:meth:`FastVer.apply_batch`).
 
     Exactly one of ``payload``/``error`` is meaningful: a poisoned
@@ -155,9 +153,6 @@ class BatchOpOutcome:
     commits (partial-batch isolation), so the serving layer can resolve
     each ticket independently."""
 
-    payload: bytes | None
-    nonce: int
-    worker: int
     error: Exception | None = None
 
 
@@ -184,6 +179,13 @@ class VerifyReport:
     migrated_data: int
     migrated_anchors: int
     receipts: dict[int, EpochReceipt] = field(repr=False, default_factory=dict)
+
+
+#: The counters ``CostModel.verifier_ns`` prices (an ecall's service time
+#: is that formula over their deltas across the crossing).
+_VERIFIER_COST_INPUTS = ("merkle_hashes", "merkle_hash_bytes",
+                         "multiset_updates", "multiset_hash_bytes",
+                         "mac_ops", "enclave_entries")
 
 
 def data_items(store, width: int) -> list[tuple[int, bytes]]:
@@ -227,24 +229,14 @@ class FastVer:
             profile=cfg.enclave_profile,
         )
         self.store = FasterKV(ordered_width=cfg.key_width,
-                              memory_budget_records=cfg.memory_budget_records,
-                              contention=cfg.contention)
-        self.logs = [VerificationLog(self.enclave, i, cfg.log_capacity)
-                     for i in range(cfg.n_workers)]
-        self.mirrors = [VerifierMirror(i, cfg.cache_capacity)
-                        for i in range(cfg.n_workers)]
+                              memory_budget_records=cfg.memory_budget_records)
         self.clients: dict[int, Client] = {}
         self.current_epoch = 0
-        self.ops_since_close = 0
-        #: key -> (timestamp, epoch) for every record in DEFERRED state.
-        self.deferred_index: dict[BitKey, tuple[int, int]] = {}
         #: anchor key -> preferred verifier (partition ownership, §6.2).
         self.anchors: dict[BitKey, int] = {}
-        #: key -> verifier id for records currently in a verifier cache.
-        self.cached_where: dict[BitKey, int] = {}
-        #: per-worker queue of predicted (ts, epoch) evict results, checked
-        #: against the verifier's actual returns at drain time.
-        self._expected_evicts: list[deque] = [deque() for _ in range(cfg.n_workers)]
+        self._reset_host_state()
+        #: The serving layer backrefs itself here (see :meth:`_sim_now`).
+        self._server = None
         #: Optional FaultPlan (see repro.faults.install_faults).
         self.faults = None
         #: The untrusted host→client receipt transport (drop/dup/reorder).
@@ -253,6 +245,23 @@ class FastVer:
         self.last_checkpoint: FastVerCheckpoint | None = None
         self._ckpt_version = 0
         self._load(items or [])
+
+    def _reset_host_state(self) -> None:
+        """Fresh volatile host bookkeeping — logs, mirrors and the tier
+        indices — as construction and recovery both start from."""
+        cfg = self.config
+        self.logs = [VerificationLog(self.enclave, i, cfg.log_capacity)
+                     for i in range(cfg.n_workers)]
+        self.mirrors = [VerifierMirror(i, cfg.cache_capacity)
+                        for i in range(cfg.n_workers)]
+        self.ops_since_close = 0
+        #: key -> (timestamp, epoch) for every record in DEFERRED state.
+        self.deferred_index: dict[BitKey, tuple[int, int]] = {}
+        #: key -> verifier id for records currently in a verifier cache.
+        self.cached_where: dict[BitKey, int] = {}
+        #: per-worker queue of predicted (ts, epoch) evict results, checked
+        #: against the verifier's actual returns at drain time.
+        self._expected_evicts: list[deque] = [deque() for _ in range(cfg.n_workers)]
 
     #: Bounded retry budget for transient enclave call-gate failures
     #: (the default when the config supplies no policy of its own).
@@ -269,8 +278,7 @@ class FastVer:
         """The serving layer's simulated clock when one is attached (the
         server backrefs itself as ``_server``); 0.0 for bare instances —
         trace timestamps then just order by sequence number."""
-        server = getattr(self, "_server", None)
-        return server.now if server is not None else 0.0
+        return self._server.now if self._server is not None else 0.0
 
     def _ecall(self, method: str, *args):
         """Cross into the enclave, absorbing transient call-gate failures
@@ -280,15 +288,12 @@ class FastVer:
         :meth:`recover` can bring it back.
 
         The gate is also where ecall *service time* is measured: the
-        modeled verifier nanoseconds this crossing cost, derived from the
-        crypto-counter deltas it produced × the calibrated cost model
-        (so the histogram and the cost model cannot disagree)."""
+        modeled verifier nanoseconds this crossing cost, which is the cost
+        model's own ``verifier_ns`` over the crypto-counter deltas the
+        crossing produced."""
         measure = LATENCIES.enabled
         if measure:
-            c = COUNTERS
-            before = (c.merkle_hashes, c.merkle_hash_bytes,
-                      c.multiset_updates, c.multiset_hash_bytes,
-                      c.mac_ops, c.enclave_entries)
+            before = [getattr(COUNTERS, name) for name in _VERIFIER_COST_INPUTS]
         result = self._ecall_backoff.run(
             lambda: self.enclave.ecall(method, *args),
             retry_on=(EnclaveUnavailableError,),
@@ -296,21 +301,11 @@ class FastVer:
             on_retry=self._count_ecall_retry,
         )
         if measure:
-            costs = DEFAULT_COSTS
-            profile = self.config.enclave_profile
-            compute = (
-                (c.merkle_hashes - before[0]) * costs.merkle_hash_fixed_ns
-                + (c.merkle_hash_bytes - before[1])
-                * costs.merkle_hash_per_byte_ns
-                + (c.multiset_updates - before[2]) * costs.multiset_fixed_ns
-                + (c.multiset_hash_bytes - before[3])
-                * costs.multiset_per_byte_ns
-                + (c.mac_ops - before[4]) * costs.mac_ns
-            )
-            service_ns = (compute * profile.compute_multiplier
-                          + (c.enclave_entries - before[5])
-                          * profile.crossing_ns)
-            LATENCIES.observe("ecall_service", service_ns)
+            delta = SimpleNamespace(**{
+                name: getattr(COUNTERS, name) - was
+                for name, was in zip(_VERIFIER_COST_INPUTS, before)})
+            LATENCIES.observe("ecall_service", DEFAULT_COSTS.verifier_ns(
+                delta, self.config.enclave_profile))
         return result
 
     # ==================================================================
@@ -344,18 +339,22 @@ class FastVer:
                 self.store.upsert(key, value, Aux.merkle().pack())
         else:
             root_value = self._ecall("start_empty")
-        root = BitKey.root()
-        self.mirrors[0].add(root, root_value, VIA_PINNED, None)
-        self.cached_where[root] = 0
+        self._enter_cache(0, BitKey.root(), root_value, VIA_PINNED, None,
+                          stamp=False)
         if self.config.partition_depth is not None:
             self._setup_partitions()
 
     def _discover_anchors(self) -> list[BitKey]:
-        """Find the ~2^d partition frontier for the current tree shape."""
+        """Find the ~2^d partition frontier for the current tree shape:
+        repeatedly expand the shallowest Merkle node until the frontier
+        holds 2^d subtree roots (or the tree runs out of branch nodes).
+        This realizes the paper's "merkle records at depth d are kept in
+        deferred state" for real Patricia shapes, where long shared
+        prefixes compress away the upper levels."""
         import heapq
 
         target = 1 << self.config.partition_depth
-        root_value = self._host_value(BitKey.root())
+        root_value = self.host_value(BitKey.root())
         assert isinstance(root_value, MerkleValue)
         heap: list[tuple[int, int, BitKey]] = []
         leaves: list[BitKey] = []
@@ -365,7 +364,7 @@ class FastVer:
                 heapq.heappush(heap, (ptr.key.length, ptr.key.bits, ptr.key))
         while heap and len(heap) + len(leaves) < target:
             _, _, node = heapq.heappop(heap)
-            value = self._host_value(node)
+            value = self.host_value(node)
             if not isinstance(value, MerkleValue):
                 leaves.append(node)
                 continue
@@ -384,15 +383,10 @@ class FastVer:
         still finds its parent cached.
         """
         for vid, mirror in enumerate(self.mirrors):
-            while True:
-                victims = [e for e in mirror.entries.values() if e.evictable]
-                if not victims:
-                    break
+            while victims := [e for e in mirror.entries.values()
+                              if e.evictable]:
                 for victim in victims:
-                    if victim.via == VIA_MERKLE and victim.key not in self.anchors:
-                        self._evict_to_merkle(vid, victim.key)
-                    else:
-                        self._evict_to_deferred(vid, victim.key)
+                    self._evict(vid, victim)
         self._drain_all()
 
     def rebalance_partitions(self) -> tuple[int, int]:
@@ -415,24 +409,10 @@ class FastVer:
         demoted = sorted(old_frontier - new_frontier)
         promoted = sorted(new_frontier - old_frontier)
         for key in demoted:
-            # Bring the record back under its Merkle parent via thread 0
-            # (the only cache that can chain from the pinned root).
-            result = lookup(self._host_value, key)
-            if result.kind != FOUND:
-                raise ProtocolError(f"anchor {key!r} fell out of the tree")
+            # No longer an anchor, so its chain runs from the pinned root
+            # (thread 0) and it goes back under its Merkle parent.
             del self.anchors[key]
-            locked = set(result.path) | {key}
-            self._cache_chain(0, result.path, locked)
-            ts, epoch = self.deferred_index[key]
-            record = self.store.read_record(key)
-            mirror = self.mirrors[0]
-            self._make_room(0, 1, locked)
-            self.logs[0].append("add_deferred", key, record.value, ts, epoch)
-            mirror.observe_add(ts)
-            mirror.add(key, record.value, VIA_MERKLE, result.terminal)
-            del self.deferred_index[key]
-            self.cached_where[key] = 0
-            self._evict_to_merkle(0, key)
+            self._reapply_to_merkle(key, "anchor {key!r} fell out of the tree")
         # Demotion chains leave frozen-zone records cached in mirror 0,
         # possibly including keys about to be promoted; start promotions
         # from empty caches so every chain builds cleanly.
@@ -441,20 +421,14 @@ class FastVer:
             record = self.store.read_record(key)
             if record is None:
                 raise ProtocolError(f"new anchor {key!r} is not in the store")
-            if Aux.unpack(record.aux).state is Protection.DEFERRED:
-                # Already deferred (e.g., a cooled hot record): it is in
-                # the right protection tier — registering it as an anchor
-                # is purely a host-side routing change. Pulling it through
-                # the Merkle path instead would orphan its write entry.
-                self.anchors[key] = i % self.config.n_workers
-                continue
-            result = lookup(self._host_value, key)
-            if result.kind != FOUND:
-                raise ProtocolError(f"new anchor {key!r} is not in the tree")
-            locked = set(result.path) | {key}
-            self._cache_chain(0, result.path, locked)
-            self._cache_merkle_record(0, key, result.terminal, locked)
-            self._evict_to_deferred(0, key)
+            if Aux.unpack(record.aux).state is not Protection.DEFERRED:
+                vid = self._admit_from_merkle(
+                    key, "new anchor {key!r} is not in the tree")
+                self._evict_to_deferred(vid, key)
+            # else already deferred (e.g., a cooled hot record): it is in
+            # the right protection tier — registering it as an anchor is
+            # purely a host-side routing change. Pulling it through the
+            # Merkle path instead would orphan its write entry.
             self.anchors[key] = i % self.config.n_workers
         self._drain_all()
         return (len(demoted), len(promoted))
@@ -462,60 +436,54 @@ class FastVer:
     def _setup_partitions(self) -> None:
         """Move every partition anchor into deferred state (§6.2).
 
-        ``partition_depth = d`` asks for ~2^d partitions: the tree is cut
-        along a frontier of anchors found by repeatedly expanding the
-        shallowest Merkle node until the frontier holds 2^d subtree roots
-        (or the tree runs out of branch nodes). This realizes the paper's
-        "merkle records at depth d are kept in deferred state" for real
-        Patricia shapes, where long shared prefixes compress away the
-        upper levels. Each anchor gets a round-robin owner; the transition
-        runs through thread 0 (the only cache that can chain from the
-        pinned root).
+        ``partition_depth = d`` asks for ~2^d partitions, cut along the
+        frontier :meth:`_discover_anchors` finds. Each anchor gets a
+        round-robin owner; the transition runs through thread 0 (the only
+        cache that can chain from the pinned root).
         """
-        import heapq
-
-        target = 1 << self.config.partition_depth
-        root_value = self._host_value(BitKey.root())
-        assert isinstance(root_value, MerkleValue)
-        heap: list[tuple[int, int, BitKey]] = []
-        leaves: list[BitKey] = []  # data keys hit by the frontier
-        for side in (0, 1):
-            ptr = root_value.pointer(side)
-            if ptr is not None:
-                heapq.heappush(heap, (ptr.key.length, ptr.key.bits, ptr.key))
-        while heap and len(heap) + len(leaves) < target:
-            _, _, node = heapq.heappop(heap)
-            value = self._host_value(node)
-            if not isinstance(value, MerkleValue):
-                leaves.append(node)  # cannot expand a data record
-                continue
-            for side in (0, 1):
-                ptr = value.pointer(side)
-                if ptr is not None:
-                    heapq.heappush(heap, (ptr.key.length, ptr.key.bits, ptr.key))
-        anchors = sorted(leaves + [key for _, _, key in heap])
+        anchors = self._discover_anchors()
         for i, anchor in enumerate(anchors):
             self.anchors[anchor] = i % self.config.n_workers
         for anchor in anchors:
-            result = lookup(self._host_value, anchor)
-            if result.kind != FOUND:
-                raise ProtocolError(f"anchor {anchor!r} vanished during setup")
-            locked = set(result.path) | {anchor}
-            self._cache_chain(0, result.path, locked)
-            self._cache_merkle_record(0, anchor, result.terminal, locked)
-            self._evict_to_deferred(0, anchor)
+            vid = self._admit_from_merkle(
+                anchor, "anchor {key!r} vanished during setup")
+            self._evict_to_deferred(vid, anchor)
         self._drain_all()
 
     # ==================================================================
-    # Host-view navigation helpers
+    # The tier map: where the host believes each record sits
     # ==================================================================
-    def _host_value(self, key: BitKey) -> Value | None:
+    def tier_of(self, key: BitKey) -> str | None:
+        """The tier guarding ``key`` — ``"cached"``, ``"deferred"`` or
+        ``"merkle"`` — or None for a key the store does not hold. Answered
+        from the host's own indices, never from the record's aux word:
+        repair and scrub ask precisely because the stored copy (aux word
+        included) may have rotted. Reads no record, so it costs no store
+        access and trips no device fault."""
+        if key in self.cached_where:
+            return "cached"
+        if key in self.deferred_index:
+            return "deferred"
+        return "merkle" if key in self.store.index else None
+
+    def host_value(self, key: BitKey) -> Value | None:
         """The host's best view of a record: shadow if cached, else store."""
         vid = self.cached_where.get(key)
         if vid is not None:
             return self.mirrors[vid].entries[key].value
         record = self.store.read_record(key)
         return record.value if record is not None else None
+
+    @staticmethod
+    def pointer_at(parent_value: Value | None, parent: BitKey,
+                   child: BitKey) -> Pointer | None:
+        """``parent``'s pointer at ``child``; None when the parent is not
+        a Merkle node or that side of it points elsewhere. Callers compare
+        the pointer's hash themselves — what a mismatch means differs."""
+        if not isinstance(parent_value, MerkleValue):
+            return None
+        ptr = parent_value.pointer(child.direction_from(parent))
+        return ptr if ptr is not None and ptr.key == child else None
 
     def _route(self, path: list[BitKey]) -> tuple[int, int]:
         """(verifier id, index of first node to cache) for a lookup path.
@@ -530,24 +498,55 @@ class FastVer:
         return 0, 0
 
     # ==================================================================
-    # Cache plumbing: adds, evicts, room-making
+    # Tier transitions: each move between cached / deferred / Merkle is
+    # written once here, and only these touch the tier map
     # ==================================================================
+    def _enter_cache(self, vid: int, key: BitKey, value: Value, via: str,
+                     parent: BitKey | None, stamp: bool = True) -> None:
+        """Host side of every admission: shadow the record in mirror
+        ``vid``, note where it lives and (``stamp``) say so in its aux
+        word — skipped when the record leaves again before anyone could
+        read it, and for the root, which is pinned for good."""
+        entry = self.mirrors[vid].add(key, value, via, parent)
+        self.cached_where[key] = vid
+        if stamp:
+            self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
+
     def _make_room(self, vid: int, need: int, locked: set[BitKey]) -> None:
         mirror = self.mirrors[vid]
         while mirror.free < need:
-            victim = mirror.victims(locked, 1)[0]
-            # Anchors must stay in deferred state (the partitioning of §6.2
-            # depends on it); everything merkle-added goes back to merkle.
-            if victim.via == VIA_MERKLE and victim.key not in self.anchors:
-                self._evict_to_merkle(vid, victim.key)
-            else:
-                self._evict_to_deferred(vid, victim.key)
+            self._evict(vid, mirror.victims(locked, 1)[0])
 
-    def _cache_chain(self, vid: int, path: list[BitKey],
+    def _evict(self, vid: int, entry) -> None:
+        """Return a cached record to the tier it came from. Anchors must
+        stay in deferred state (the partitioning of §6.2 depends on it);
+        everything else merkle-added goes back to merkle."""
+        if entry.via == VIA_MERKLE and entry.key not in self.anchors:
+            self._evict_to_merkle(vid, entry.key)
+        else:
+            self._evict_to_deferred(vid, entry.key)
+
+    def _chain_in(self, key: BitKey, missing: str | None = None, result=None
+                  ) -> tuple[int, BitKey, set[BitKey]]:
+        """What every Merkle-tier move starts with: look ``key`` up (it
+        must be FOUND, else ProtocolError worded by ``missing`` — unless
+        the caller brings its own lookup ``result``), route to the
+        verifier owning its partition and pull the ancestor chain into
+        that cache. Returns ``(verifier, terminal, locked)``; no eviction
+        may touch ``locked`` (chain + key) until the move completes."""
+        if result is None:
+            result = lookup(self.host_value, key)
+            if result.kind != FOUND:
+                raise ProtocolError(missing.format(key=key))
+        vid, start = self._route(result.path)
+        locked = set(result.path) | {key}
+        self._cache_chain(vid, result.path, start, locked)
+        return vid, result.terminal, locked
+
+    def _cache_chain(self, vid: int, path: list[BitKey], start: int,
                      locked: set[BitKey]) -> None:
         """Ensure every node of ``path[start:]`` is in verifier ``vid``'s
         cache, adding via the mode each record's aux dictates."""
-        _, start = self._route(path)
         mirror = self.mirrors[vid]
         for i in range(start, len(path)):
             node = path[i]
@@ -564,47 +563,63 @@ class FastVer:
                 raise StoreError(f"chain node {node!r} missing from store")
             aux = Aux.unpack(record.aux)
             if aux.state is Protection.DEFERRED:
-                self._cache_deferred_record(vid, node, record.value)
+                self._admit_from_deferred(vid, node, record.value)
             elif aux.state is Protection.MERKLE:
-                self._cache_merkle_record(vid, node, path[i - 1], locked,
-                                          value=record.value)
+                self._admit_merkle_child(vid, node, path[i - 1], locked,
+                                         record.value)
             else:
                 raise ProtocolError(
                     f"chain node {node!r} marked cached but absent from "
                     f"shadow {vid} (cross-cache conflict)"
                 )
 
-    def _cache_deferred_record(self, vid: int, key: BitKey, value: Value) -> None:
-        """Pull a deferred-state record into verifier ``vid``'s cache."""
+    def _admit_from_deferred(self, vid: int, key: BitKey, value: Value) -> None:
+        """Deferred → cached: pull the record into verifier ``vid``'s
+        cache against its ``(ts, epoch)`` write-set entry."""
         ts, epoch = self.deferred_index[key]
-        mirror = self.mirrors[vid]
         self._make_room(vid, 1, {key})
         self.logs[vid].append("add_deferred", key, value, ts, epoch)
-        mirror.observe_add(ts)
-        entry = mirror.add(key, value, VIA_DEFERRED, None)
+        self.mirrors[vid].observe_add(ts)
+        self._enter_cache(vid, key, value, VIA_DEFERRED, None)
         del self.deferred_index[key]
-        self.cached_where[key] = vid
-        self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
         COUNTERS.cache_misses += 1
 
-    def _cache_merkle_record(self, vid: int, key: BitKey, parent: BitKey,
-                             locked: set[BitKey], value: Value | None = None) -> None:
-        """Pull a Merkle-state record into the cache (parent already there)."""
-        if value is None:
-            record = self.store.read_record(key)
-            if record is None:
-                raise StoreError(f"merkle record {key!r} missing from store")
-            value = record.value
-        mirror = self.mirrors[vid]
+    def _admit_merkle_child(self, vid: int, key: BitKey, parent: BitKey,
+                            locked: set[BitKey], value: Value) -> None:
+        """Merkle → cached, one link: the parent is already in the cache
+        and the verifier checks ``H(value)`` against its pointer."""
         self._make_room(vid, 1, locked | {key, parent})
         self.logs[vid].append("add_merkle", key, value, parent)
-        entry = mirror.add(key, value, VIA_MERKLE, parent)
-        self.cached_where[key] = vid
-        self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
+        self._enter_cache(vid, key, value, VIA_MERKLE, parent)
         COUNTERS.cache_misses += 1
 
+    def _admit_from_merkle(self, key: BitKey, missing: str) -> int:
+        """Merkle → cached through the record's whole chain; returns the
+        verifier now holding it. ``missing`` words the error for a key the
+        tree no longer reaches."""
+        vid, terminal, locked = self._chain_in(key, missing)
+        self._admit_merkle_child(vid, key, terminal, locked,
+                                 self.store.read_record(key).value)
+        return vid
+
+    def _reapply_to_merkle(self, key: BitKey, missing: str) -> None:
+        """Deferred → Merkle (§6.3): chain in, add the record against its
+        write-set entry *as a child of its tree parent*, and evict it at
+        once so the parent's hash absorbs the current value. The record is
+        cache-resident only between two log entries, so its aux word
+        never says so."""
+        ts, epoch = self.deferred_index[key]
+        vid, terminal, locked = self._chain_in(key, missing)
+        value = self.store.read_record(key).value
+        self._make_room(vid, 1, locked)
+        self.logs[vid].append("add_deferred", key, value, ts, epoch)
+        self.mirrors[vid].observe_add(ts)
+        self._enter_cache(vid, key, value, VIA_MERKLE, terminal, stamp=False)
+        del self.deferred_index[key]
+        self._evict_to_merkle(vid, key)
+
     def _evict_to_deferred(self, vid: int, key: BitKey) -> tuple[int, int]:
-        """Evict a cached record into deferred protection; returns (ts, e)."""
+        """Cached → deferred; returns the predicted ``(ts, epoch)``."""
         mirror = self.mirrors[vid]
         entry = mirror.remove(key)
         ts = mirror.predict_evict()
@@ -617,7 +632,7 @@ class FastVer:
         return ts, epoch
 
     def _evict_to_merkle(self, vid: int, key: BitKey) -> None:
-        """Evict a cached record into Merkle protection (parent cached)."""
+        """Cached → Merkle (parent cached)."""
         mirror = self.mirrors[vid]
         entry = mirror.entries[key]
         parent_key = entry.parent_key
@@ -630,13 +645,13 @@ class FastVer:
         self.store.upsert(key, entry.value, Aux.merkle().pack())
         # Mirror the verifier's lazy parent update (§4.3.1).
         parent = mirror.entries[parent_key]
-        side = key.direction_from(parent_key)
-        ptr = parent.value.pointer(side)
-        if ptr is None or ptr.key != key:
+        ptr = self.pointer_at(parent.value, parent_key, key)
+        if ptr is None:
             raise ProtocolError(f"shadow parent {parent_key!r} does not "
                                 f"point at {key!r}")
         new_hash = host_value_hash(entry.value)
-        parent.value = parent.value.with_pointer(side, ptr.with_hash(new_hash))
+        parent.value = parent.value.with_pointer(
+            key.direction_from(parent_key), ptr.with_hash(new_hash))
 
     # ==================================================================
     # Receipt plumbing
@@ -998,22 +1013,8 @@ class FastVer:
         if self.config.sorted_merkle_updates:
             data_keys.sort()
         for key in data_keys:
-            ts, epoch = self.deferred_index[key]
-            result = lookup(self._host_value, key)
-            if result.kind != FOUND:
-                raise ProtocolError(f"deferred record {key!r} fell out of the tree")
-            vid, _ = self._route(result.path)
-            locked = set(result.path) | {key}
-            self._cache_chain(vid, result.path, locked)
-            record = self.store.read_record(key)
-            mirror = self.mirrors[vid]
-            self._make_room(vid, 1, locked)
-            self.logs[vid].append("add_deferred", key, record.value, ts, epoch)
-            mirror.observe_add(ts)
-            mirror.add(key, record.value, VIA_MERKLE, result.terminal)
-            del self.deferred_index[key]
-            self.cached_where[key] = vid
-            self._evict_to_merkle(vid, key)
+            self._reapply_to_merkle(
+                key, "deferred record {key!r} fell out of the tree")
 
         # 2. Anchor migration: deferred anchors tagged <= closing move to
         # the new epoch (cache-resident anchors are ignored, §5.2).
@@ -1026,7 +1027,7 @@ class FastVer:
                 continue
             vid = self.anchors[anchor]
             record = self.store.read_record(anchor)
-            self._cache_deferred_record(vid, anchor, record.value)
+            self._admit_from_deferred(vid, anchor, record.value)
             self._evict_to_deferred(vid, anchor)
             migrated_anchors += 1
 
@@ -1096,26 +1097,24 @@ class FastVer:
         exactly the §6.1 claim for the hierarchy's top tier. Only the
         validation (MAC + nonce) crosses the log.
         """
-        mirror = self.mirrors[vid]
-        entry = mirror.touch(key)
-        log = self.logs[vid]
+        entry = self.mirrors[vid].touch(key)
         COUNTERS.cache_hits += 1
+        self._validate(self.logs[vid], client, key, kind, nonce, payload, tag)
         if kind == "get":
-            log.append("validate_get", client.client_id, key, nonce)
             return entry.value.payload
-        log.append("validate_put_update", client.client_id, key, payload,
-                   nonce, tag)
         entry.value = DataValue(payload)
         return payload
 
-    def _retain_after_op(self, vid: int, key: BitKey, value: Value) -> None:
-        """cache_hot_records mode: keep the record verifier-resident after
-        its op instead of evicting it (the LRU will cool it later)."""
-        mirror = self.mirrors[vid]
-        entry = mirror.add(key, value, VIA_DEFERRED, None)
-        self.cached_where[key] = vid
-        self.deferred_index.pop(key, None)
-        self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
+    def _validate(self, log: VerificationLog, client: Client, key: BitKey,
+                  kind: str, nonce: int, payload: bytes | None,
+                  tag: bytes | None) -> None:
+        """Append the validate entry for a get or an update of a record
+        that is in the verifier's cache at that point of the log."""
+        if kind == "get":
+            log.append("validate_get", client.client_id, key, nonce)
+        else:
+            log.append("validate_put_update", client.client_id, key, payload,
+                       nonce, tag)
 
     def _warm_op(self, worker: int, client: Client, key: BitKey, record,
                  aux: Aux, kind: str, nonce: int, payload: bytes | None,
@@ -1129,21 +1128,18 @@ class FastVer:
         self._make_room(worker, 1, {key})
         old_value = record.value
         new_value = old_value if kind == "get" else DataValue(payload)
+        result = old_value.payload if kind == "get" else payload
+        log = self.logs[worker]
         if self.config.cache_hot_records:
             # Admit and *retain*: the record climbs to the hierarchy's top
             # tier; no evict, no write-set entry, no CAS race window (the
             # admission itself moves the record out of deferred state).
             mirror.observe_add(aux.timestamp)
-            log = self.logs[worker]
             log.append("add_deferred", key, old_value, aux.timestamp,
                        aux.epoch)
-            if kind == "get":
-                log.append("validate_get", client.client_id, key, nonce)
-            else:
-                log.append("validate_put_update", client.client_id, key,
-                           payload, nonce, tag)
-            self._retain_after_op(worker, key, new_value)
-            result = old_value.payload if kind == "get" else payload
+            self._validate(log, client, key, kind, nonce, payload, tag)
+            self._enter_cache(worker, key, new_value, VIA_DEFERRED, None)
+            self.deferred_index.pop(key, None)
             return (result,)
         ts_pred = max(mirror.clock, aux.timestamp) + 1
         new_aux = Aux.deferred(ts_pred, self.current_epoch)
@@ -1154,17 +1150,11 @@ class FastVer:
         confirmed = mirror.predict_evict()
         if confirmed != ts_pred:
             raise ProtocolError("clock mirror drift in warm path")
-        log = self.logs[worker]
         log.append("add_deferred", key, old_value, aux.timestamp, aux.epoch)
-        if kind == "get":
-            log.append("validate_get", client.client_id, key, nonce)
-        else:
-            log.append("validate_put_update", client.client_id, key, payload,
-                       nonce, tag)
+        self._validate(log, client, key, kind, nonce, payload, tag)
         log.append("evict_deferred", key)
         self._expected_evicts[worker].append((ts_pred, self.current_epoch))
         self.deferred_index[key] = (ts_pred, self.current_epoch)
-        result = old_value.payload if kind == "get" else payload
         COUNTERS.cache_hits += 1  # no Merkle work: the deferred fast path
         return (result,)
 
@@ -1172,22 +1162,14 @@ class FastVer:
                  nonce: int, payload: bytes | None,
                  tag: bytes | None) -> bytes | None:
         """Merkle-state slow path: chain in, validate, evict to deferred."""
-        result = lookup(self._host_value, key)
-        if result.kind != FOUND:
-            raise ProtocolError(f"aux says MERKLE but {key!r} not in tree")
-        vid, _ = self._route(result.path)
-        locked = set(result.path) | {key}
-        self._cache_chain(vid, result.path, locked)
-        value = self.store.read_record(key).value
-        self._cache_merkle_record(vid, key, result.terminal, locked, value=value)
-        log = self.logs[vid]
+        vid = self._admit_from_merkle(
+            key, "aux says MERKLE but {key!r} not in tree")
+        entry = self.mirrors[vid].entries[key]
+        self._validate(self.logs[vid], client, key, kind, nonce, payload, tag)
         if kind == "get":
-            log.append("validate_get", client.client_id, key, nonce)
-            out = value.payload
+            out = entry.value.payload
         else:
-            log.append("validate_put_update", client.client_id, key, payload,
-                       nonce, tag)
-            self.mirrors[vid].entries[key].value = DataValue(payload)
+            entry.value = DataValue(payload)
             out = payload
         if self.config.cache_hot_records:
             return out  # retain: first touch already promotes to cached
@@ -1198,62 +1180,46 @@ class FastVer:
                    nonce: int, payload: bytes | None,
                    tag: bytes | None) -> bytes | None:
         """The key is not in the tree: prove absence, or insert (§4.2)."""
-        result = lookup(self._host_value, key)
+        result = lookup(self.host_value, key)
         if result.kind == FOUND:
             raise ProtocolError(f"store lost record {key!r} that the tree has")
-        vid, _ = self._route(result.path)
-        locked = set(result.path) | {key}
-        self._cache_chain(vid, result.path, locked)
+        vid, terminal, locked = self._chain_in(key, result=result)
         log = self.logs[vid]
-        if kind == "get":
+        if kind == "get" or payload is None:
+            # A read — or the delete of an absent key: prove absence
+            # instead of inserting.
             log.append("validate_get_absent", client.client_id, key,
-                       result.terminal, nonce)
+                       terminal, nonce)
             return None
-        if payload is None:
-            # Deleting an absent key: prove absence instead of inserting.
-            log.append("validate_get_absent", client.client_id, key,
-                       result.terminal, nonce)
-            return None
+        # Insert. ``child`` is what the terminal points at afterwards: the
+        # new leaf itself where that side was empty (ABSENT_NULL), else a
+        # new internal node at lca(key, bypass) holding the leaf and the
+        # terminal's old pointer.
+        split = result.kind != ABSENT_NULL
+        self._make_room(vid, 2 if split else 1, locked)
+        log.append("validate_put_split" if split else "validate_put_extend",
+                   client.client_id, key, payload, nonce, tag, terminal)
         mirror = self.mirrors[vid]
-        terminal = result.terminal
-        if result.kind == ABSENT_NULL:
-            self._make_room(vid, 1, locked)
-            log.append("validate_put_extend", client.client_id, key, payload,
-                       nonce, tag, terminal)
-            leaf_value = DataValue(payload)
-            entry = mirror.add(key, leaf_value, VIA_MERKLE, terminal)
-            self.cached_where[key] = vid
-            self.store.upsert(key, leaf_value, Aux.cached(vid, entry.slot).pack())
-            # Mirror the verifier's pointer write at the terminal.
-            term_entry = mirror.entries[terminal]
-            side = key.direction_from(terminal)
-            term_entry.value = term_entry.value.with_pointer(
-                side, Pointer(key, host_value_hash(leaf_value)))
-            self._evict_to_deferred(vid, key)
-            return payload
-        # ABSENT_SPLIT: a new internal node at lca(key, bypass).
-        self._make_room(vid, 2, locked)
-        log.append("validate_put_split", client.client_id, key, payload,
-                   nonce, tag, terminal)
-        bypass = result.bypass
-        mid = key.lca(bypass)
         leaf_value = DataValue(payload)
         term_entry = mirror.entries[terminal]
         side = key.direction_from(terminal)
-        old_ptr = term_entry.value.pointer(side)
-        mid_value = MerkleValue()
-        mid_value = mid_value.with_pointer(bypass.direction_from(mid), old_ptr)
-        mid_value = mid_value.with_pointer(
-            key.direction_from(mid), Pointer(key, host_value_hash(leaf_value)))
-        mid_entry = mirror.add(mid, mid_value, VIA_MERKLE, terminal)
-        leaf_entry = mirror.add(key, leaf_value, VIA_MERKLE, mid)
-        self.cached_where[mid] = vid
-        self.cached_where[key] = vid
-        self.store.upsert(mid, mid_value, Aux.cached(vid, mid_entry.slot).pack())
-        self.store.upsert(key, leaf_value, Aux.cached(vid, leaf_entry.slot).pack())
+        child, child_value = key, leaf_value
+        if split:
+            bypass = result.bypass
+            child = key.lca(bypass)
+            child_value = MerkleValue().with_pointer(
+                bypass.direction_from(child), term_entry.value.pointer(side))
+            child_value = child_value.with_pointer(
+                key.direction_from(child),
+                Pointer(key, host_value_hash(leaf_value)))
+            self._enter_cache(vid, child, child_value, VIA_MERKLE, terminal)
+        self._enter_cache(vid, key, leaf_value, VIA_MERKLE,
+                          child if split else terminal)
+        # Mirror the verifier's pointer write at the terminal.
         term_entry.value = term_entry.value.with_pointer(
-            side, Pointer(mid, host_value_hash(mid_value)))
-        mirror.reparent(bypass, mid)
+            side, Pointer(child, host_value_hash(child_value)))
+        if split:
+            mirror.reparent(bypass, child)
         self._evict_to_deferred(vid, key)
         return payload
 
@@ -1265,9 +1231,8 @@ class FastVer:
         verifier state. Call at a quiescent point (ideally right after
         ``verify()``, aligning with the paper's epoch-synchronized CPR)."""
         self._drain_all()
-        for mirror, expected in zip(self.mirrors, self._expected_evicts):
-            if expected:
-                raise ProtocolError("checkpoint with unconfirmed predictions")
+        if any(self._expected_evicts):
+            raise ProtocolError("checkpoint with unconfirmed predictions")
         self._ckpt_version += 1
         from repro.store.checkpoint import take_checkpoint
         token = take_checkpoint(self.store, self._ckpt_version,
@@ -1336,56 +1301,47 @@ class FastVer:
         self.receipt_channel.reset()
         self.current_epoch = self.enclave.ecall("current_epoch")
         self.anchors = dict(checkpoint.anchors)
-        self.deferred_index = {}
+        deferred: dict[BitKey, tuple[int, int]] = {}
         try:
             for key, _value, aux_word in self.store.items():
                 aux = Aux.unpack(aux_word)
                 if aux.state is Protection.DEFERRED:
-                    self.deferred_index[key] = (aux.timestamp, aux.epoch)
+                    deferred[key] = (aux.timestamp, aux.epoch)
         except IntegrityError as exc:
             # Rot can strike a page *between* the store rebuild's validation
-            # scan and this one — the device fires per read. Aborting here
-            # would leave the deferred index half-built, which a later
-            # verify() trips over far from the cause. During recovery an
-            # unreadable page means this token cannot restore service, so it
-            # is typed exactly like the store-side scan types it: a
+            # scan and this one — the device fires per read. During recovery
+            # an unreadable page means this token cannot restore service, so
+            # it is typed exactly like the store-side scan types it: a
             # RecoveryError that sends the heal ladder on to salvage.
             raise RecoveryError(
                 f"store scan during recovery hit a corrupt page: "
                 f"{exc}") from exc
+        self._reset_host_state()
+        self.deferred_index = deferred
         # Rebuild mirrors from the enclave's cache dumps; entries re-add in
         # the same order the verifier re-added them at restore, so slot
         # numbering realigns automatically.
-        cfg = self.config
-        self.mirrors = [VerifierMirror(i, cfg.cache_capacity)
-                        for i in range(cfg.n_workers)]
-        self.cached_where = {}
-        self._expected_evicts = [deque() for _ in range(cfg.n_workers)]
         clocks = self.enclave.ecall("clocks")
         for vid, mirror in enumerate(self.mirrors):
             mirror.clock = clocks[vid]
-            entries = self.enclave.ecall("dump_cache", vid)
-            for key, value in entries:
-                if key.is_root:
-                    mirror.add(key, value, VIA_PINNED, None)
-                else:
-                    mirror.add(key, value, VIA_DEFERRED, None)
-                self.cached_where[key] = vid
+            for key, value in self.enclave.ecall("dump_cache", vid):
+                self._enter_cache(
+                    vid, key, value,
+                    VIA_PINNED if key.is_root else VIA_DEFERRED, None,
+                    stamp=False)
         # Recompute merkle parent links for cached merkle records so LRU
         # evictions pick the right mode again.
+        width = self.config.key_width
         for vid, mirror in enumerate(self.mirrors):
             for key, entry in mirror.entries.items():
                 if key.is_root or key in self.anchors:
                     continue
                 if not isinstance(entry.value, MerkleValue) and \
-                        key.length != cfg.key_width:
+                        key.length != width:
                     continue
                 parent = self._find_cached_parent(mirror, key)
                 if parent is not None:
                     mirror.adopt_merkle_parent(key, parent)
-        self.logs = [VerificationLog(self.enclave, i, cfg.log_capacity)
-                     for i in range(cfg.n_workers)]
-        self.ops_since_close = 0
 
     @staticmethod
     def _find_cached_parent(mirror: VerifierMirror, key: BitKey) -> BitKey | None:
@@ -1398,10 +1354,8 @@ class FastVer:
         for length in range(key.length - 1, -1, -1):
             candidate = key.prefix(length)
             entry = entries.get(candidate)
-            if entry is None or not isinstance(entry.value, MerkleValue):
-                continue
-            ptr = entry.value.pointer(key.direction_from(candidate))
-            if ptr is not None and ptr.key == key:
+            if entry is not None and FastVer.pointer_at(
+                    entry.value, candidate, key) is not None:
                 return candidate
         return None
 
@@ -1443,22 +1397,20 @@ class FastVer:
         skip its own pre-vet — the enclave gate behind it is the one that
         is load-bearing, which is what the red-team campaign drives.
         """
-        vid = self.cached_where.get(key)
-        if vid is not None:
+        tier = self.tier_of(key)
+        if tier == "cached":
+            vid = self.cached_where[key]
             entry = self.mirrors[vid].entries[key]
             self.store.upsert(key, entry.value,
                               Aux.cached(vid, entry.slot).pack())
-            return "cached"
-        if key in self.deferred_index:
-            if candidate is None:
-                raise RepairFailedError(
-                    f"no repair candidate for deferred record {key!r}")
-            ts, epoch = self.deferred_index[key]
-            self.store.upsert(key, candidate, Aux.deferred(ts, epoch).pack())
-            return "deferred"
+            return tier
         if candidate is None:
             raise RepairFailedError(
-                f"no repair candidate for merkle record {key!r}")
+                f"no repair candidate for {tier} record {key!r}")
+        if tier == "deferred":
+            ts, epoch = self.deferred_index[key]
+            self.store.upsert(key, candidate, Aux.deferred(ts, epoch).pack())
+            return tier
         # The merkle re-vet enters the enclave, and the flush it triggers
         # would carry whatever earlier operations are still buffered.
         # Drain that backlog first so the repair session starts clean: an
@@ -1473,15 +1425,13 @@ class FastVer:
         # *detected* — the page remains quarantined and any client access
         # trips the same add_merkle alarm, so nothing settles on it.
         self.store.upsert(key, candidate, Aux.merkle().pack())
-        result = lookup(self._host_value, key)
+        result = lookup(self.host_value, key)
         if result.kind != FOUND:
             raise RepairFailedError(
                 f"record {key!r} fell out of the host tree; record-level "
                 f"repair cannot re-insert it")
-        rvid, start = self._route(result.path)
         if host_prevet:
-            self._prevet_repair(result, key, candidate, start)
-        locked = set(result.path) | {key}
+            self._prevet_repair(result, key, candidate)
         # No IntegrityError wrapping around the chain caching: the host
         # pre-vet above already turned honest dirty-ancestor cases into a
         # retryable RepairFailedError *before* any enclave state was
@@ -1489,11 +1439,12 @@ class FastVer:
         # verifier genuinely disagree — the session is poisoned mid-batch
         # and retrying in place would drift the clock mirror, so the
         # alarm propagates and the caller's heal path resynchronizes.
-        self._cache_chain(rvid, result.path, locked)
+        vid, terminal, locked = self._chain_in(key, result=result)
         self._drain_all()
         try:
-            self._cache_merkle_record(rvid, key, result.terminal, locked)
-            self._evict_to_deferred(rvid, key)
+            self._admit_merkle_child(vid, key, terminal, locked,
+                                     self.store.read_record(key).value)
+            self._evict_to_deferred(vid, key)
             self._drain_all()
         except IntegrityError as exc:
             raise RepairForgeryError(
@@ -1502,8 +1453,7 @@ class FastVer:
                 f"({type(exc).__name__}: {exc})") from exc
         return "merkle"
 
-    def _prevet_repair(self, result, key: BitKey, candidate: Value,
-                       start: int) -> None:
+    def _prevet_repair(self, result, key: BitKey, candidate: Value) -> None:
         """Host-side twin of the enclave checks a merkle repair will hit:
         walk the chain the cold path will cache and hash-match each
         evicted merkle node against its parent's pointer, then the
@@ -1512,25 +1462,22 @@ class FastVer:
         pointer hashes are legitimately stale), mirroring ``_cache_chain``.
         """
         path = result.path
-        for i in range(max(start, 0) + 1, len(path)):
-            node = path[i]
-            if node in self.cached_where or node in self.deferred_index:
+        _, start = self._route(path)
+        for parent, node in zip(path[start:], path[start + 1:]):
+            if self.tier_of(node) != "merkle":
                 continue
-            parent_value = self._host_value(path[i - 1])
-            ptr = (parent_value.pointer(node.direction_from(path[i - 1]))
-                   if isinstance(parent_value, MerkleValue) else None)
-            if ptr is None or ptr.key != node:
+            ptr = self.pointer_at(self.host_value(parent), parent, node)
+            if ptr is None:
                 raise RepairFailedError(
-                    f"chain node {path[i - 1]!r} no longer points at "
+                    f"chain node {parent!r} no longer points at "
                     f"{node!r}; an ancestor is corrupt")
-            if host_value_hash(self._host_value(node)) != ptr.hash:
+            if host_value_hash(self.host_value(node)) != ptr.hash:
                 raise RepairFailedError(
                     f"ancestor {node!r} of {key!r} is itself corrupt; "
                     f"repair it before this record")
-        terminal_value = self._host_value(result.terminal)
-        ptr = (terminal_value.pointer(key.direction_from(result.terminal))
-               if isinstance(terminal_value, MerkleValue) else None)
-        if ptr is None or ptr.key != key:
+        ptr = self.pointer_at(self.host_value(result.terminal),
+                              result.terminal, key)
+        if ptr is None:
             raise RepairFailedError(
                 f"terminal {result.terminal!r} no longer points at {key!r}")
         if host_value_hash(candidate) != ptr.hash:

@@ -56,6 +56,8 @@ from repro.replication.standby import StandbyVerifier
 #: Headroom added above the observed worst member lag when growing the
 #: adaptive retain depth.
 RETAIN_MARGIN = 16
+#: Leadership lease length in simulated ticks.
+LEASE_DURATION_TICKS = 240.0
 #: Renew when the remaining lease drops below this fraction of the
 #: duration (an honest primary renews long before expiry).
 LEASE_RENEW_MARGIN = 0.5
@@ -88,8 +90,6 @@ class ReplicationConfig:
     #: deepest member lag observed (plus ``RETAIN_MARGIN``), so a member
     #: that has once fallen N behind keeps a delta path N deep.
     retain_shipments: int = 64
-    #: Leadership lease length in simulated ticks.
-    lease_duration_ticks: float = 240.0
     #: Cut an epoch marker after this many shipped entries since the
     #: last one (bounds standby verification lag by size)…
     epoch_marker_entries: int = 64
@@ -540,9 +540,8 @@ class ReplicationManager:
         if not voters:
             return True
         now = self.server.now
-        duration = self.config.lease_duration_ticks
         if (self._lease_expires_at - now
-                <= duration * LEASE_RENEW_MARGIN):
+                <= LEASE_DURATION_TICKS * LEASE_RENEW_MARGIN):
             self._renew_lease(voters)
         ok = now < self._lease_expires_at
         if ok:
@@ -568,7 +567,7 @@ class ReplicationManager:
         partitioned minority can never keep a deposed primary alive)."""
         server = self.server
         generation = server.generation
-        expires_at = server.now + self.config.lease_duration_ticks
+        expires_at = server.now + LEASE_DURATION_TICKS
         faults = server.faults
         grants = 0
         for member in live:

@@ -70,6 +70,15 @@ from repro.store.checkpoint import _deserialize_index, rot_blob_at_rest
 from repro.store.hybridlog import LogRecord
 
 
+#: Simulated cost per scrubbed page (ticks).
+SCRUB_TICK_PER_PAGE = 0.02
+#: Cost of one verified record repair (fixed part + its one page) — the
+#: MTTR driver. Orders of magnitude under the supervisor's restore and
+#: salvage bases: that gap IS the self-healing argument (BENCH_repair.json
+#: quantifies it).
+REPAIR_TICKS = 0.2
+
+
 @dataclass(frozen=True)
 class RepairAction:
     """One ledger line: something the scrubber decided about one page."""
@@ -144,10 +153,7 @@ class Scrubber:
     """
 
     def __init__(self, db, budget_pages: int = 4, repl=None, server=None,
-                 candidate_fn=None, now_fn=None, advance_fn=None,
-                 tick_per_page: float = 0.02,
-                 repair_base_ticks: float = 0.1,
-                 repair_tick_per_page: float = 0.1):
+                 candidate_fn=None, now_fn=None, advance_fn=None):
         self.db = db
         self.budget_pages = max(1, budget_pages)
         self.repl = repl
@@ -155,9 +161,6 @@ class Scrubber:
         self.candidate_fn = candidate_fn
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
         self._advance = advance_fn if advance_fn is not None else (lambda t: None)
-        self.tick_per_page = tick_per_page
-        self.repair_base_ticks = repair_base_ticks
-        self.repair_tick_per_page = repair_tick_per_page
         self.ledger = RepairLedger()
         # Walk state: cursor is the (length, bits) of the last key checked.
         self._cursor: tuple[int, int] | None = None
@@ -189,10 +192,10 @@ class Scrubber:
     def pump(self) -> dict:
         """One bounded scrub slice; returns a summary for callers/tests."""
         self._check_retained_checkpoint()
-        repaired = self._repair_quarantined()
+        repaired = self.repair_pending()
         pages, mismatches = self._walk()
         if pages:
-            self._advance(pages * self.tick_per_page)
+            self._advance(pages * SCRUB_TICK_PER_PAGE)
         self._note_quarantine_gauge()
         summary = {
             "pages": pages,
@@ -255,12 +258,11 @@ class Scrubber:
     # ------------------------------------------------------------------
     # Quarantine repair
     # ------------------------------------------------------------------
-    def _repair_quarantined(self) -> int:
-        store = self.db.store
-        if not store.quarantined_addresses:
-            return 0
+    def repair_pending(self) -> int:
+        """Attempt a verified repair of every quarantined page; returns
+        how many came back clean."""
         repaired = 0
-        for address in list(store.quarantined_addresses):
+        for address in list(self.db.store.quarantined_addresses):
             key = self._quarantine_keys.get(address)
             if key is None:
                 key = self._key_for_address(address)
@@ -287,7 +289,6 @@ class Scrubber:
 
     def _repair_one(self, address: int, key: BitKey | None) -> bool:
         db, store = self.db, self.db.store
-        ticks = self.repair_base_ticks + self.repair_tick_per_page
         source = ""
         try:
             if db.faults is not None and db.faults.fire("scrub.repair.fail"):
@@ -303,46 +304,22 @@ class Scrubber:
                 self.ledger.record(self._now(), address, key,
                                    reason="index-moved", outcome="superseded")
                 return False
-            candidate = None
-            if key not in db.cached_where:
-                candidate, source = self._candidate_for(key)
-            else:
-                # Verifier-cached: the enclave already holds the authentic
-                # value (the host mirror shadows it), so the repair needs no
-                # courier at all — sourcing one here would fail spuriously
-                # when the rotted page is an interior node whose children
-                # are not merkle-at-rest.
-                source = "verifier-cache"
+            candidate, source = self._candidate_for(key)
             tier = db.repair_record(key, candidate)
         except RepairFailedError as exc:
-            COUNTERS.repair_failures += 1
-            self.ledger.record(self._now(), address, key,
-                               reason=str(exc)[:120], source=source,
-                               outcome="failed")
-            TRACER.record("repair", self._now(), address=address,
-                          source=source, outcome="failed")
+            self._note_unrepaired(address, key, exc, source, "failed")
             return False
         except RepairForgeryError as exc:
             if source == "reconstruction":
                 # Our own reconstruction disagreed with the authenticated
                 # root — a stale/rotted *child*, not a lying courier.
                 # Retryable: the child's own scrub pass repairs it first.
-                COUNTERS.repair_failures += 1
-                self.ledger.record(self._now(), address, key,
-                                   reason=str(exc)[:120], source=source,
-                                   outcome="failed")
-                TRACER.record("repair", self._now(), address=address,
-                              source=source, outcome="failed")
+                self._note_unrepaired(address, key, exc, source, "failed")
                 return False
             # An external candidate failed enclave re-vetting: that is a
             # detected forgery, and it surfaces as the integrity error it
             # is — the supervisor treats it like any tamper detection.
-            COUNTERS.repair_forgeries += 1
-            self.ledger.record(self._now(), address, key,
-                               reason=str(exc)[:120], source=source,
-                               outcome="forged")
-            TRACER.record("repair", self._now(), address=address,
-                          source=source, outcome="forged")
+            self._note_unrepaired(address, key, exc, source, "forged")
             raise
         else:
             self._dequarantine(address)
@@ -354,12 +331,25 @@ class Scrubber:
                           source=source, tier=tier, outcome="repaired")
             return True
         finally:
-            self._advance(ticks)
-            self._repair_ticks_acc += ticks
+            self._advance(REPAIR_TICKS)
+            self._repair_ticks_acc += REPAIR_TICKS
             whole = int(self._repair_ticks_acc)
             if whole:
                 COUNTERS.repair_ticks += whole
                 self._repair_ticks_acc -= whole
+
+    def _note_unrepaired(self, address: int, key: BitKey | None,
+                         exc: Exception, source: str, outcome: str) -> None:
+        """Count, ledger and trace one repair attempt that left its page
+        quarantined (``failed`` is retryable, ``forged`` is a detection)."""
+        if outcome == "forged":
+            COUNTERS.repair_forgeries += 1
+        else:
+            COUNTERS.repair_failures += 1
+        self.ledger.record(self._now(), address, key, reason=str(exc)[:120],
+                           source=source, outcome=outcome)
+        TRACER.record("repair", self._now(), address=address, source=source,
+                      outcome=outcome)
 
     def _dequarantine(self, address: int) -> None:
         store = self.db.store
@@ -370,8 +360,14 @@ class Scrubber:
     # ------------------------------------------------------------------
     # Candidate sourcing
     # ------------------------------------------------------------------
-    def _candidate_for(self, key: BitKey) -> tuple[Value, str]:
+    def _candidate_for(self, key: BitKey) -> tuple[Value | None, str]:
         db = self.db
+        if db.tier_of(key) == "cached":
+            # The enclave already holds the authentic value (the host
+            # mirror shadows it), so the repair needs no courier at all —
+            # sourcing one here would fail spuriously when the rotted page
+            # is an interior node whose children are not merkle-at-rest.
+            return None, "verifier-cache"
         if key.length == db.config.key_width:
             if self.repl is not None:
                 found, payload = self.repl.repair_payload(key.bits)
@@ -397,17 +393,17 @@ class Scrubber:
         parent the enclave never authenticated."""
         db = self.db
         snapshot = db.store.index.snapshot()
-        ptr0 = ptr1 = None
+        ptrs: list[Pointer | None] = [None, None]
         for side in (0, 1):
             child = self._closure_child(snapshot, key, side)
             if child is None:
                 continue
-            if child in db.cached_where or child in db.deferred_index:
+            if db.tier_of(child) != "merkle":
                 raise RepairFailedError(
                     f"child {child!r} of {key!r} is not merkle-at-rest; "
                     f"reconstruction would forge a stale parent")
             try:
-                child_value = db._host_value(child)
+                child_value = db.host_value(child)
             except AvailabilityError:
                 raise
             except Exception as exc:
@@ -417,15 +413,11 @@ class Scrubber:
             if child_value is None:
                 raise RepairFailedError(
                     f"child {child!r} of {key!r} has no value")
-            ptr = Pointer(child, host_value_hash(child_value))
-            if side == 0:
-                ptr0 = ptr
-            else:
-                ptr1 = ptr
-        if ptr0 is None and ptr1 is None:
+            ptrs[side] = Pointer(child, host_value_hash(child_value))
+        if ptrs == [None, None]:
             raise RepairFailedError(
                 f"interior node {key!r} has no surviving children")
-        return MerkleValue(ptr0, ptr1)
+        return MerkleValue(*ptrs)
 
     @staticmethod
     def _closure_child(snapshot: dict[BitKey, int], node: BitKey,
@@ -447,7 +439,7 @@ class Scrubber:
     # Budgeted walk
     # ------------------------------------------------------------------
     def _walk(self) -> tuple[int, int]:
-        db, store = self.db, self.db.store
+        store = self.db.store
         snapshot = store.index.snapshot()
         keys = sorted(snapshot, key=lambda k: (k.length, k.bits))
         if not keys:
@@ -479,13 +471,8 @@ class Scrubber:
                 reason = self._check_page(key, address)
                 if reason is not None and \
                         address not in store.quarantined_addresses:
-                    store.quarantined_addresses.append(address)
-                    self._quarantine_keys[address] = key
-                    COUNTERS.scrub_mismatches += 1
-                    self.mismatches_found += 1
+                    self.quarantine(key, address, reason)
                     mismatches += 1
-                    self.ledger.record(self._now(), address, key,
-                                       reason=reason, outcome="quarantined")
         finally:
             device.scrub_reading = False
         if index >= len(keys):
@@ -496,6 +483,32 @@ class Scrubber:
             self._cursor = (last.length, last.bits)
         COUNTERS.scrubbed_pages += pages
         return pages, mismatches
+
+    def quarantine(self, key: BitKey, address: int, reason: str) -> None:
+        """Fence one dirty page off until a verified repair clears it."""
+        self.db.store.quarantined_addresses.append(address)
+        self._quarantine_keys[address] = key
+        COUNTERS.scrub_mismatches += 1
+        self.mismatches_found += 1
+        self.ledger.record(self._now(), address, key, reason=reason,
+                           outcome="quarantined")
+
+    def triage(self, keys) -> bool:
+        """Re-check the device page behind each of ``keys`` out of walk
+        order — the keys whose touch just raised an integrity alarm —
+        quarantine the ones that really are dirty and repair them. Returns
+        True when nothing is left quarantined."""
+        store = self.db.store
+        for key in keys:
+            address = store.index.lookup(key)
+            if address < 0 or store.log.in_memory(address) \
+                    or address in store.quarantined_addresses:
+                continue
+            reason = self._check_page(key, address)
+            if reason is not None:
+                self.quarantine(key, address, f"suspect:{reason}")
+        self.repair_pending()
+        return not store.quarantined_addresses
 
     def _check_page(self, key: BitKey, address: int) -> str | None:
         """Re-verify one device page; a string reason means quarantine."""
@@ -512,14 +525,13 @@ class Scrubber:
             return "undecodable"
         if record.key != key:
             return "key-mismatch"
-        vid = db.cached_where.get(key)
-        if vid is not None:
+        tier = db.tier_of(key)
+        if tier == "cached":
             # Enclave-cached: the mirror shadows the authoritative value.
-            entry = db.mirrors[vid].entries[key]
-            if encode_value(record.value) != encode_value(entry.value):
+            if encode_value(record.value) != encode_value(db.host_value(key)):
                 return "cached-divergence"
             return None
-        if key in db.deferred_index:
+        if tier == "deferred":
             # Individually unverifiable by design (the multiset check is
             # aggregate), but the aux word is host metadata we *can* vet.
             ts, epoch = db.deferred_index[key]
@@ -529,18 +541,16 @@ class Scrubber:
         # Merkle-at-rest: H(value) must match the authenticated parent
         # pointer — the same comparison add_merkle would make on touch.
         try:
-            result = lookup(db._host_value, key)
+            result = lookup(db.host_value, key)
             if result.kind != FOUND:
                 return "unreachable"
-            parent_value = db._host_value(result.terminal)
+            parent_value = db.host_value(result.terminal)
         except AvailabilityError:
             return None
         except Exception:
             return "chain-error"
-        ptr = None
-        if isinstance(parent_value, MerkleValue):
-            ptr = parent_value.pointer(key.direction_from(result.terminal))
-        if ptr is None or ptr.key != key:
+        ptr = db.pointer_at(parent_value, result.terminal, key)
+        if ptr is None:
             return "orphaned"
         if host_value_hash(record.value) != ptr.hash:
             return "hash-mismatch"

@@ -53,10 +53,16 @@ from repro.store.recovery import rebuild_index_from_log
 
 #: Simulated service time charged per processed request (ticks).
 TIME_PER_REQUEST = 1.0
-#: Simulated cost per scrubbed page (ticks).
-SCRUB_TICK_PER_PAGE = 0.02
 #: Pumps :meth:`FastVerServer.drain` spends waiting on streamed receipts.
 DRAIN_PUMPS = 64
+#: Consecutive verifier failures before the breaker opens.
+BREAKER_THRESHOLD = 3
+#: Degraded-mode write queue bound (beyond it, writes are shed).
+DEGRADED_WRITE_CAPACITY = 256
+#: LRU capacity of the verified-read cache serving degraded reads.
+READ_CACHE_CAPACITY = 65536
+#: Idempotency-table capacity (completed request results).
+COMPLETED_CAPACITY = 8192
 
 
 @dataclass
@@ -67,16 +73,8 @@ class ServerConfig:
     queue_capacity: int = 64
     #: Deadline granted to a request that does not bring its own.
     default_deadline: float = 200.0
-    #: Consecutive verifier failures before the breaker opens.
-    breaker_threshold: int = 3
     #: Ticks an open breaker waits before admitting a half-open probe.
     breaker_cooldown: float = 30.0
-    #: Degraded-mode write queue bound (beyond it, writes are shed).
-    degraded_write_capacity: int = 256
-    #: LRU capacity of the verified-read cache serving degraded reads.
-    read_cache_capacity: int = 65536
-    #: Idempotency-table capacity (completed request results).
-    completed_capacity: int = 8192
     # --- group-commit batching (opt-in; see docs/PROTOCOL.md) ---------
     #: Stage queued operations into per-verifier-shard batches and settle
     #: each batch in a single multi-shard ecall (receipt-synchronous group
@@ -104,8 +102,6 @@ class ServerConfig:
     #: max_batch_ticks to chase this budget: grow while under, halve on
     #: breach. None keeps the static knobs above.
     latency_budget_p99: float | None = None
-    #: Pacing/budget of one supervisor heal session (None = default).
-    heal_backoff: BackoffPolicy | None = None
     # --- background scrub & verified repair (repro.scrub) -------------
     #: Run the background scrubber one budgeted slice per pump. Off by
     #: default: with it off the pipeline is byte-identical to before.
@@ -116,12 +112,6 @@ class ServerConfig:
     #: BENCH_repair.json enforces; raise it to tighten rot-detection
     #: latency at the price of throughput.
     scrub_budget_pages: int = 3
-    #: Fixed + per-page cost of one verified record repair — the MTTR
-    #: driver. Orders of magnitude under the supervisor's restore and
-    #: salvage bases: that gap IS the self-healing argument
-    #: (BENCH_repair.json quantifies it).
-    repair_base_ticks: float = 0.1
-    repair_tick_per_page: float = 0.1
     # --- SLO burn-rate engine (opt-in; see repro.obs.slo) -------------
     #: Declared service objectives. When set, an :class:`SloEngine`
     #: evaluates burn rates each epoch close (inside ``maintain()``),
@@ -264,9 +254,9 @@ class FastVerServer:
         self.now = 0.0
         self.faults = db.faults
         self.salvage_hook = salvage_hook
-        self.breaker = CircuitBreaker(cfg.breaker_threshold,
-                                      cfg.breaker_cooldown)
-        heal = cfg.heal_backoff or BackoffPolicy(
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, cfg.breaker_cooldown)
+        # Pacing/budget of one supervisor heal session.
+        heal = BackoffPolicy(
             max_attempts=4, base_delay=2.0, max_delay=30.0, seed=1)
         heal.sleep_fn = self._advance
         self.supervisor = Supervisor(self, heal)
@@ -719,7 +709,7 @@ class FastVerServer:
             # re-validates the client MAC, so the channel never has to be
             # trusted with the op's authenticity.
             self.replication.note_put(request.op)
-        while len(self.completed) > self.config.completed_capacity:
+        while len(self.completed) > COMPLETED_CAPACITY:
             self.completed.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -958,8 +948,7 @@ class FastVerServer:
                     "recovery in flight and key not in the verified-read "
                     "cache"))
         if request.dedup_key not in self.degraded_writes:
-            if len(self.degraded_writes) >= \
-                    self.config.degraded_write_capacity:
+            if len(self.degraded_writes) >= DEGRADED_WRITE_CAPACITY:
                 COUNTERS.shed += 1
                 raise OverloadError("degraded-mode write queue full")
             self.degraded_writes[request.dedup_key] = request
@@ -1043,7 +1032,7 @@ class FastVerServer:
         self._trim_read_cache()
 
     def _trim_read_cache(self) -> None:
-        while len(self.committed_reads) > self.config.read_cache_capacity:
+        while len(self.committed_reads) > READ_CACHE_CAPACITY:
             self.committed_reads.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -1056,18 +1045,14 @@ class FastVerServer:
         trail outlives any one store instance."""
         if not self.config.scrub_enabled:
             return None
-        cfg = self.config
         current = self._scrubber
         if current is None or current.db is not self.db \
                 or current.repl is not self.replication:
             from repro.scrub import Scrubber
             self._scrubber = Scrubber(
-                self.db, budget_pages=cfg.scrub_budget_pages,
+                self.db, budget_pages=self.config.scrub_budget_pages,
                 repl=self.replication, server=self,
                 now_fn=lambda: self.now, advance_fn=self._advance,
-                tick_per_page=SCRUB_TICK_PER_PAGE,
-                repair_base_ticks=cfg.repair_base_ticks,
-                repair_tick_per_page=cfg.repair_tick_per_page,
             ).inherit(current)
         return self._scrubber
 
@@ -1105,27 +1090,9 @@ class FastVerServer:
         really are dirty, and repair them surgically. Returns True when
         no suspect remains quarantined."""
         scrub = self.scrubber()
-        if scrub is None or not self._suspect_keys:
-            self._suspect_keys.clear()
-            return True
-        store = self.db.store
-        for key in list(self._suspect_keys):
-            address = store.index.lookup(key)
-            if address < 0 or store.log.in_memory(address) \
-                    or address in store.quarantined_addresses:
-                continue
-            reason = scrub._check_page(key, address)
-            if reason is not None:
-                store.quarantined_addresses.append(address)
-                scrub._quarantine_keys[address] = key
-                COUNTERS.scrub_mismatches += 1
-                scrub.mismatches_found += 1
-                scrub.ledger.record(self.now, address, key,
-                                    reason=f"suspect:{reason}",
-                                    outcome="quarantined")
+        suspects = list(self._suspect_keys)
         self._suspect_keys.clear()
-        scrub._repair_quarantined()
-        return not store.quarantined_addresses
+        return scrub is None or not suspects or scrub.triage(suspects)
 
     # ------------------------------------------------------------------
     # Replication and failover

@@ -257,7 +257,7 @@ class Supervisor:
             if server._suspect_keys:
                 server._drain_suspects()
             if db.store.quarantined_addresses:
-                scrub._repair_quarantined()
+                scrub.repair_pending()
         except IntegrityError:
             server._integrity_dirty = True
             return False

@@ -26,7 +26,7 @@ from repro.core.keys import BitKey
 from repro.core.records import Value
 from repro.errors import StoreError
 from repro.instrument import COUNTERS
-from repro.store.atomic import NO_CONTENTION, ContentionInjector, compare_and_swap_pair
+from repro.store.atomic import compare_and_swap_pair
 from repro.store.epoch_protection import LightEpoch
 from repro.store.hashindex import HashIndex
 from repro.store.hybridlog import NULL_ADDRESS, HybridLog, LogDevice, LogRecord
@@ -92,8 +92,7 @@ class FasterKV:
     def __init__(self, ordered_width: int | None = None,
                  memory_budget_records: int = 1 << 30,
                  mutable_fraction: float = 0.9,
-                 device: LogDevice | None = None,
-                 contention: ContentionInjector = NO_CONTENTION):
+                 device: LogDevice | None = None):
         self.index = HashIndex()
         self.log = HybridLog(mutable_fraction=mutable_fraction,
                              memory_budget_records=memory_budget_records,
@@ -101,7 +100,6 @@ class FasterKV:
         self.epochs = LightEpoch()
         self.directory = KeyDirectory()
         self.ordered_width = ordered_width
-        self.contention = contention
         # Device addresses skipped by a lenient log-scan rebuild (see
         # repro.store.recovery); empty on any store built the normal way.
         self.quarantined_addresses: list[int] = []
@@ -207,7 +205,7 @@ class FasterKV:
             COUNTERS.cas_failures += 1
             return False
         return compare_and_swap_pair(record, expected_value, expected_aux,
-                                     new_value, new_aux, self.contention)
+                                     new_value, new_aux)
 
     # ------------------------------------------------------------------
     # Scans

@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.obs import TRACER
 from repro.replication import ReplicationConfig
+from repro.replication.manager import LEASE_DURATION_TICKS
 from tests.test_replication import envelope, repl_setup, sdk_for
 
 
@@ -130,7 +131,7 @@ class TestLeases:
         # enclave pinned the bumped generation floor.
         for member in repl.standbys:
             member.grant_lease(server.generation + 1, server.now + 500.0)
-        server._advance(repl.config.lease_duration_ticks + 1.0)
+        server._advance(LEASE_DURATION_TICKS + 1.0)
         with pytest.raises(LeaseExpiredError):
             server.handle(envelope(server, client, "put", 1, b"too-late"))
         assert repl.lease_expiries >= 1
@@ -147,7 +148,7 @@ class TestLeases:
         db, client, server, repl = repl_setup(
             repl_config=ReplicationConfig(n_standbys=3))
         for i in range(4):
-            server._advance(repl.config.lease_duration_ticks * 0.6)
+            server._advance(LEASE_DURATION_TICKS * 0.6)
             server.handle(envelope(server, client, "put", i, b"ok%d" % i))
         assert repl.lease_expiries == 0
         assert repl.lease_valid()

@@ -12,6 +12,8 @@ between them cross every tier transition: cold and warm ops, LRU
 eviction, inserts that extend and split, deletes, absence proofs, the
 hot-record tier, unsorted re-application, partition rebalancing,
 checkpoint + recovery, record repair on each tier and a poisoned batch.
+A hypothesis test at the end checks the reader those transitions keep
+honest: ``tier_of`` names the tier the aux word names, for every record.
 
 The digests were recorded at the commit *before* the tier bookkeeping
 was gathered into one reader and one set of transitions; a refactor of
@@ -23,10 +25,12 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FastVer, FastVerConfig, new_client
+from repro.core.audit import audit
 from repro.core.log import VerificationLog
-from repro.core.records import DataValue, encode_value
+from repro.core.records import Aux, DataValue, encode_value
 from repro.errors import RepairForgeryError, SignatureError
 from repro.faults import FaultPlan, install_faults
 from repro.store.faster import FasterKV
@@ -230,3 +234,55 @@ def test_command_stream_pin(schedule, monkeypatch):
     stream = CommandStream(monkeypatch)
     schedule()
     assert stream.digest() == SCHEDULES[schedule]
+
+
+# ----------------------------------------------------------------------
+# The tier map agrees with the aux words after any schedule
+# ----------------------------------------------------------------------
+step_strategy = st.one_of(
+    st.tuples(st.sampled_from(["get", "delete"]), st.integers(0, 79)),
+    st.tuples(st.just("put"), st.integers(0, 79),          # 40.. inserts
+              st.binary(min_size=1, max_size=6)),
+    st.tuples(st.sampled_from(
+        ["verify", "flush_caches", "rebalance", "checkpoint+recover"])),
+)
+
+
+@pytest.mark.parametrize("hot", [False, True], ids=["evict", "retain"])
+@given(st.lists(step_strategy, max_size=40), st.integers(1, 3))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tier_of_names_the_tier_the_aux_word_names(hot, schedule, workers):
+    """Whatever moved records between tiers — ops, the LRU, epoch close,
+    partitioning, recovery — every stored key's ``tier_of`` is the tier
+    its aux word names, and the full host audit is clean."""
+    db = FastVer(FastVerConfig(key_width=16, n_workers=workers,
+                               cache_capacity=32, partition_depth=2,
+                               cache_hot_records=hot),
+                 items=[(k, b"v%d" % k) for k in range(40)])
+    client = new_client(1)
+    db.register_client(client)
+    for i, step in enumerate(schedule):
+        worker = i % workers
+        if step[0] == "get":
+            db.get(client, step[1], worker=worker)
+        elif step[0] == "put":
+            db.put(client, step[1], step[2], worker=worker)
+        elif step[0] == "delete":
+            db.put(client, step[1], None, worker=worker)
+        elif step[0] == "verify":
+            db.verify()
+        elif step[0] == "flush_caches":
+            db.flush_caches()
+        elif step[0] == "rebalance":
+            db.verify()
+            db.rebalance_partitions()
+        else:
+            db.verify()
+            db.recover(db.checkpoint())
+    db.flush()
+    for key, _value, aux_word in db.store.items():
+        assert db.tier_of(key) == Aux.unpack(aux_word).state.name.lower()
+    assert db.tier_of(db.data_key(60_000)) is None
+    report = audit(db)
+    assert report.ok, report.violations[:5]
