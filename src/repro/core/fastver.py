@@ -405,9 +405,8 @@ class FastVer:
                 "rebalance requires a quiescent store: call verify() first")
         self.flush_caches()
         new_frontier = set(self._discover_anchors())
-        old_frontier = set(self.anchors)
-        demoted = sorted(old_frontier - new_frontier)
-        promoted = sorted(new_frontier - old_frontier)
+        demoted = sorted(self.anchors.keys() - new_frontier)
+        promoted = sorted(new_frontier - self.anchors.keys())
         for key in demoted:
             # No longer an anchor, so its chain runs from the pinned root
             # (thread 0) and it goes back under its Merkle parent.
@@ -503,10 +502,9 @@ class FastVer:
     # ==================================================================
     def _enter_cache(self, vid: int, key: BitKey, value: Value, via: str,
                      parent: BitKey | None, stamp: bool = True) -> None:
-        """Host side of every admission: shadow the record in mirror
-        ``vid``, note where it lives and (``stamp``) say so in its aux
-        word — skipped when the record leaves again before anyone could
-        read it, and for the root, which is pinned for good."""
+        """Host side of an admission: shadow the record in mirror ``vid``,
+        note where it lives and (``stamp``) say so in its aux word — not
+        for the pinned root, nor a record that leaves again at once."""
         entry = self.mirrors[vid].add(key, value, via, parent)
         self.cached_where[key] = vid
         if stamp:
@@ -590,7 +588,10 @@ class FastVer:
         and the verifier checks ``H(value)`` against its pointer."""
         self._make_room(vid, 1, locked | {key, parent})
         self.logs[vid].append("add_merkle", key, value, parent)
-        self._enter_cache(vid, key, value, VIA_MERKLE, parent)
+        # `_enter_cache`, inline: this runs once per admitted chain node.
+        entry = self.mirrors[vid].add(key, value, VIA_MERKLE, parent)
+        self.cached_where[key] = vid
+        self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
         COUNTERS.cache_misses += 1
 
     def _admit_from_merkle(self, key: BitKey, missing: str) -> int:
@@ -605,9 +606,8 @@ class FastVer:
     def _reapply_to_merkle(self, key: BitKey, missing: str) -> None:
         """Deferred → Merkle (§6.3): chain in, add the record against its
         write-set entry *as a child of its tree parent*, and evict it at
-        once so the parent's hash absorbs the current value. The record is
-        cache-resident only between two log entries, so its aux word
-        never says so."""
+        once so the parent's hash absorbs the current value (cached only
+        between two log entries, so its aux word never says so)."""
         ts, epoch = self.deferred_index[key]
         vid, terminal, locked = self._chain_in(key, missing)
         value = self.store.read_record(key).value
@@ -618,8 +618,8 @@ class FastVer:
         del self.deferred_index[key]
         self._evict_to_merkle(vid, key)
 
-    def _evict_to_deferred(self, vid: int, key: BitKey) -> tuple[int, int]:
-        """Cached → deferred; returns the predicted ``(ts, epoch)``."""
+    def _evict_to_deferred(self, vid: int, key: BitKey) -> None:
+        """Cached → deferred, under the ``(ts, epoch)`` the host predicts."""
         mirror = self.mirrors[vid]
         entry = mirror.remove(key)
         ts = mirror.predict_evict()
@@ -629,7 +629,6 @@ class FastVer:
         del self.cached_where[key]
         self.deferred_index[key] = (ts, epoch)
         self.store.upsert(key, entry.value, Aux.deferred(ts, epoch).pack())
-        return ts, epoch
 
     def _evict_to_merkle(self, vid: int, key: BitKey) -> None:
         """Cached → Merkle (parent cached)."""
@@ -643,15 +642,16 @@ class FastVer:
         self.logs[vid].append("evict_merkle", key, parent_key)
         del self.cached_where[key]
         self.store.upsert(key, entry.value, Aux.merkle().pack())
-        # Mirror the verifier's lazy parent update (§4.3.1).
+        # Mirror the verifier's lazy parent update (§4.3.1) — `pointer_at`
+        # inline, because this runs once per evicted chain node.
         parent = mirror.entries[parent_key]
-        ptr = self.pointer_at(parent.value, parent_key, key)
-        if ptr is None:
+        side = key.direction_from(parent_key)
+        ptr = parent.value.pointer(side)
+        if ptr is None or ptr.key != key:
             raise ProtocolError(f"shadow parent {parent_key!r} does not "
                                 f"point at {key!r}")
         new_hash = host_value_hash(entry.value)
-        parent.value = parent.value.with_pointer(
-            key.direction_from(parent_key), ptr.with_hash(new_hash))
+        parent.value = parent.value.with_pointer(side, ptr.with_hash(new_hash))
 
     # ==================================================================
     # Receipt plumbing

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FastVer, FastVerConfig, new_client
 from repro.core.audit import audit
+from repro.core.keys import BitKey
 from repro.core.log import VerificationLog
 from repro.core.records import Aux, DataValue, encode_value
 from repro.errors import RepairForgeryError, SignatureError
@@ -40,9 +41,9 @@ def _plain(arg) -> bytes:
     """A stable byte form of one log argument (keys, values, ints, ...)."""
     if arg is None or isinstance(arg, (int, str, bytes)):
         return repr(arg).encode()
-    if hasattr(arg, "to_bytes") and hasattr(arg, "length"):      # BitKey
+    if isinstance(arg, BitKey):
         return b"K%d:%d" % (arg.length, arg.bits)
-    return b"V" + encode_value(arg)                              # Value
+    return b"V" + encode_value(arg)
 
 
 class CommandStream:
