@@ -11,13 +11,17 @@ the client MAC tag)`` and each ``FasterKV.upsert`` / ``try_cas`` as
 between them cross every tier transition: cold and warm ops, LRU
 eviction, inserts that extend and split, deletes, absence proofs, the
 hot-record tier, unsorted re-application, partition rebalancing,
-checkpoint + recovery, record repair on each tier and a poisoned batch.
+checkpoint + recovery, record repair on each tier, a poisoned batch, and
+the sorted runs — range scans (across partition anchors, with an epoch
+close inside, over retained hot records) and dense consecutive-key
+touches closed sorted and unsorted.
 A hypothesis test at the end checks the reader those transitions keep
 honest: ``tier_of`` names the tier the aux word names, for every record.
 
 The digests were recorded at the commit *before* the tier bookkeeping
-was gathered into one reader and one set of transitions; a refactor of
-``core/fastver.py`` must leave every one of them unchanged.
+was gathered into one reader and one set of transitions (the scan and
+dense-touch schedules: before chain-ins began to share a tree walk); a
+refactor of ``core/fastver.py`` must leave every one of them unchanged.
 """
 
 from __future__ import annotations
@@ -218,6 +222,61 @@ def poisoned_batch():
     db.verify()
 
 
+def scan_run(db, client, starts, count, workers, close_every=None):
+    """Range scans from an arithmetic sequence of start keys."""
+    for i, start in enumerate(starts):
+        db.scan(client, start, count, worker=i % workers)
+        if close_every and i % close_every == close_every - 1:
+            db.verify()
+    db.verify()
+    db.flush()
+
+
+def scans_across_partition_anchors():
+    db, client = build(n_records=200, n_workers=4, partition_depth=3)
+    scan_run(db, client, [(i * 211) % 1400 for i in range(12)], 45,
+             workers=4, close_every=4)
+
+
+def scan_with_close_inside():
+    db, client = build(n_records=200, n_workers=2, partition_depth=2,
+                       batch_ops=25)              # verify() lands mid-scan
+    scan_run(db, client, [(i * 300) % 1400 for i in range(8)], 60, workers=2)
+
+
+def scan_over_hot_and_deferred():
+    db, client = build(n_records=120, n_workers=2, partition_depth=2,
+                       cache_hot_records=True)
+    for k in range(0, 840, 35):                   # inserted: deferred tier
+        db.put(client, k + 3, b"new", worker=k % 2)
+    for k in range(0, 120, 4):                    # read: retained in cache
+        db.get(client, k * 7, worker=k % 2)
+    scan_run(db, client, [(i * 130) % 800 for i in range(7)], 50,
+             workers=2, close_every=4)
+
+
+def dense_touch(sorted_updates):
+    db, client = build(n_records=200, n_workers=2, partition_depth=2,
+                       sorted_merkle_updates=sorted_updates)
+    for base in (40, 70, 100):                    # overlapping dense ranges
+        for j in range(50):
+            k = base + (j * 37) % 50              # consecutive keys, shuffled
+            if k % 4:
+                db.get(client, k * 7, worker=k % 2)
+            else:
+                db.put(client, k * 7, b"d%d" % j, worker=k % 2)
+        db.verify()
+    db.flush()
+
+
+def dense_touch_sorted_close():
+    dense_touch(True)
+
+
+def dense_touch_unsorted_close():
+    dense_touch(False)
+
+
 SCHEDULES = {
     cold_one_worker: "2643:18a2d501fff740913c4c04b7d88ee03f",
     partitioned_four_workers: "1941:cc36e67aa88c406d95d192d808bf62c7",
@@ -227,6 +286,11 @@ SCHEDULES = {
     checkpoint_recover_continue: "1321:daaab41c11e4cc7126fccf11d9c48150",
     repair_each_tier: "221:ac11c923c96182a7e314ab0ff0a078af",
     poisoned_batch: "300:aac7c96b77c979f44263549979408df3",
+    scans_across_partition_anchors: "6301:916790ed37d757c78acbf33c0812417a",
+    scan_with_close_inside: "5413:38bf8df210756ecf1c09f559b43c8438",
+    scan_over_hot_and_deferred: "3869:62cb7f17debedb2f2cb27c2c3df92e1f",
+    dense_touch_sorted_close: "2793:0394d8ba297b29b0a16b85ead5ca86f9",
+    dense_touch_unsorted_close: "3245:7aed7a4395a42a0f76743a3c4b28233a",
 }
 
 
