@@ -234,6 +234,10 @@ class FastVer:
         self.current_epoch = 0
         #: anchor key -> preferred verifier (partition ownership, §6.2).
         self.anchors: dict[BitKey, int] = {}
+        #: The run of chain-ins in progress: None outside one, () before its
+        #: first key, then the previous key's (lookup result, chain start,
+        #: LRU tick). Valid while no pointer moves: never beyond one call.
+        self._run: tuple | None = None
         self._reset_host_state()
         #: The serving layer backrefs itself here (see :meth:`_sim_now`).
         self._server = None
@@ -354,14 +358,10 @@ class FastVer:
         import heapq
 
         target = 1 << self.config.partition_depth
-        root_value = self.host_value(BitKey.root())
-        assert isinstance(root_value, MerkleValue)
-        heap: list[tuple[int, int, BitKey]] = []
+        # The root is expanded first: it is the shallowest node, never a
+        # partition (target >= 2), and the frontier starts at its children.
+        heap: list[tuple[int, int, BitKey]] = [(0, 0, BitKey.root())]
         leaves: list[BitKey] = []
-        for side in (0, 1):
-            ptr = root_value.pointer(side)
-            if ptr is not None:
-                heapq.heappush(heap, (ptr.key.length, ptr.key.bits, ptr.key))
         while heap and len(heap) + len(leaves) < target:
             _, _, node = heapq.heappop(heap)
             value = self.host_value(node)
@@ -465,12 +465,15 @@ class FastVer:
             return "deferred"
         return "merkle" if key in self.store.index else None
 
-    def host_value(self, key: BitKey) -> Value | None:
-        """The host's best view of a record: shadow if cached, else store."""
+    def host_value(self, key: BitKey, fetched: dict | None = None) -> Value | None:
+        """The host's best view of a record: shadow if cached, else store
+        (whose record itself is then kept in ``fetched``, when given)."""
         vid = self.cached_where.get(key)
         if vid is not None:
             return self.mirrors[vid].entries[key].value
         record = self.store.read_record(key)
+        if fetched is not None:
+            fetched[key] = record
         return record.value if record is not None else None
 
     @staticmethod
@@ -484,16 +487,17 @@ class FastVer:
         ptr = parent_value.pointer(child.direction_from(parent))
         return ptr if ptr is not None and ptr.key == child else None
 
-    def _route(self, path: list[BitKey]) -> tuple[int, int]:
+    def _route(self, path: list[BitKey], begin: int = 0) -> tuple[int, int]:
         """(verifier id, index of first node to cache) for a lookup path.
 
         The chain starts at the highest partition anchor on the path (its
         owner's verifier) or at the pinned root (thread 0) when the path
-        never crosses the partition boundary.
+        never crosses the partition boundary. ``begin`` skips the leading
+        nodes a run already knows to hold no anchor.
         """
-        for i, node in enumerate(path):
-            if node in self.anchors:
-                return self.anchors[node], i
+        for i in range(begin, len(path)):
+            if path[i] in self.anchors:
+                return self.anchors[path[i]], i
         return 0, 0
 
     # ==================================================================
@@ -528,35 +532,37 @@ class FastVer:
                   ) -> tuple[int, BitKey, set[BitKey]]:
         """What every Merkle-tier move starts with: look ``key`` up (it
         must be FOUND, else ProtocolError worded by ``missing`` — unless
-        the caller brings its own lookup ``result``), route to the
-        verifier owning its partition and pull the ancestor chain into
-        that cache. Returns ``(verifier, terminal, locked)``; no eviction
-        may touch ``locked`` (chain + key) until the move completes."""
+        the caller brings its own lookup ``result``), route to the verifier
+        owning its partition and pull the ancestor chain into that cache,
+        each node via the mode its aux dictates. Returns ``(verifier,
+        terminal, locked)``; no eviction may touch ``locked`` (chain + key)
+        until the move completes. In a run the walk resumes where the
+        previous key's left the tree, and the chain starts below the nodes
+        that key chained into the same cache."""
+        run, fetched = self._run, {}
         if result is None:
-            result = lookup(self.host_value, key)
+            result = lookup(lambda node: self.host_value(node, fetched), key,
+                            run[0] if run else None)
             if result.kind != FOUND:
                 raise ProtocolError(missing.format(key=key))
-        vid, start = self._route(result.path)
-        locked = set(result.path) | {key}
-        self._cache_chain(vid, result.path, start, locked)
-        return vid, result.terminal, locked
-
-    def _cache_chain(self, vid: int, path: list[BitKey], start: int,
-                     locked: set[BitKey]) -> None:
-        """Ensure every node of ``path[start:]`` is in verifier ``vid``'s
-        cache, adding via the mode each record's aux dictates."""
+        path, kept = result.path, result.kept
+        # The kept prefix holds no anchor above the previous chain's start.
+        vid, start = self._route(path, min(kept, run[1] or kept) if run else 0)
+        locked = {key, *path}
         mirror = self.mirrors[vid]
-        for i in range(start, len(path)):
+        # path[start:kept] was chained into this cache for the previous key.
+        # If only that key's own admission has ticked the LRU since and the
+        # deepest shared node is still resident (so, parent before child, is
+        # all of it), touching it again could only reorder those nodes
+        # against their own descendants, never candidates while they are.
+        resident = run and run[1] == start < kept and \
+            mirror._tick == run[2] + 1 and path[kept - 1] in mirror
+        for i in range(kept if resident else start, len(path)):
             node = path[i]
             if node in mirror:
                 mirror.touch(node)
                 continue
-            if node.is_root:
-                raise ProtocolError(
-                    f"chain for verifier {vid} reached the root, which is "
-                    f"pinned in verifier 0 only"
-                )
-            record = self.store.read_record(node)
+            record = self._record_of(node, fetched.get(node))
             if record is None:
                 raise StoreError(f"chain node {node!r} missing from store")
             aux = Aux.unpack(record.aux)
@@ -568,8 +574,21 @@ class FastVer:
             else:
                 raise ProtocolError(
                     f"chain node {node!r} marked cached but absent from "
-                    f"shadow {vid} (cross-cache conflict)"
-                )
+                    f"shadow {vid} (cross-cache conflict)")
+        if run is not None:
+            self._run = (result, start, mirror._tick)
+        return vid, result.terminal, locked
+
+    def _record_of(self, key: BitKey, seen):
+        """The store record of a locked, uncached ``key`` in mid-move.
+        ``seen``, the copy an earlier step read, is still the latest (the
+        evictions since wrote only their victim's record and its parent's
+        *cached* entry) and is handed on while the log holds it in memory;
+        one that came off the device is read again, as fault plans count."""
+        store, head = self.store, self.store.log.head_address
+        if seen is None or (head and store.index.lookup(key) < head):
+            return store.read_record(key)
+        return seen
 
     def _admit_from_deferred(self, vid: int, key: BitKey, value: Value) -> None:
         """Deferred → cached: pull the record into verifier ``vid``'s
@@ -585,8 +604,9 @@ class FastVer:
     def _admit_merkle_child(self, vid: int, key: BitKey, parent: BitKey,
                             locked: set[BitKey], value: Value) -> None:
         """Merkle → cached, one link: the parent is already in the cache
-        and the verifier checks ``H(value)`` against its pointer."""
-        self._make_room(vid, 1, locked | {key, parent})
+        and the verifier checks ``H(value)`` against its pointer (both are
+        in ``locked``, the chain-in's one set)."""
+        self._make_room(vid, 1, locked)
         self.logs[vid].append("add_merkle", key, value, parent)
         # `_enter_cache`, inline: this runs once per admitted chain node.
         entry = self.mirrors[vid].add(key, value, VIA_MERKLE, parent)
@@ -594,13 +614,14 @@ class FastVer:
         self.store.upsert(key, value, Aux.cached(vid, entry.slot).pack())
         COUNTERS.cache_misses += 1
 
-    def _admit_from_merkle(self, key: BitKey, missing: str) -> int:
+    def _admit_from_merkle(self, key: BitKey, missing: str, record=None) -> int:
         """Merkle → cached through the record's whole chain; returns the
         verifier now holding it. ``missing`` words the error for a key the
-        tree no longer reaches."""
+        tree no longer reaches; ``record`` is the key's store record when
+        the caller has just read it (no chain-in writes an uncached key)."""
         vid, terminal, locked = self._chain_in(key, missing)
         self._admit_merkle_child(vid, key, terminal, locked,
-                                 self.store.read_record(key).value)
+                                 self._record_of(key, record).value)
         return vid
 
     def _reapply_to_merkle(self, key: BitKey, missing: str) -> None:
@@ -982,12 +1003,16 @@ class FastVer:
         (§8.1: scans are not atomic; per-key rate is what is measured)."""
         start = self.data_key(start_key)
         out: list[tuple[int, bytes]] = []
-        for bk in self.store.directory.range_from(start, count):
-            nonce = client.next_nonce()
-            payload = self._data_op(worker, client, bk, "get", nonce=nonce)
-            self._after_op()
-            if payload is not None:
-                out.append((bk.bits, payload))
+        self._run = ()      # ascending keys: one run (a close inside ends it)
+        try:
+            for bk in self.store.directory.range_from(start, count):
+                nonce = client.next_nonce()
+                payload = self._data_op(worker, client, bk, "get", nonce=nonce)
+                self._after_op()
+                if payload is not None:
+                    out.append((bk.bits, payload))
+        finally:
+            self._run = None
         return out
 
     def flush(self) -> None:
@@ -1006,15 +1031,17 @@ class FastVer:
 
         # 1. Sorted Merkle updates (§6.3): every deferred *data* record that
         # is not itself a partition anchor returns to Merkle protection.
-        data_keys = [
-            k for k in self.deferred_index
-            if k.length == width and k not in self.anchors
-        ]
+        data_keys = [k for k in self.deferred_index
+                     if k.length == width and k not in self.anchors]
         if self.config.sorted_merkle_updates:
             data_keys.sort()
-        for key in data_keys:
-            self._reapply_to_merkle(
-                key, "deferred record {key!r} fell out of the tree")
+        self._run = ()      # one run: sorted, consecutive keys share chains
+        try:
+            for key in data_keys:
+                self._reapply_to_merkle(
+                    key, "deferred record {key!r} fell out of the tree")
+        finally:
+            self._run = None
 
         # 2. Anchor migration: deferred anchors tagged <= closing move to
         # the new epoch (cache-resident anchors are ignored, §5.2).
@@ -1083,8 +1110,8 @@ class FastVer:
                     return done[0]
                 continue  # CAS lost; retry
             if aux.state is Protection.MERKLE:
-                return self._cold_op(worker, client, key, kind, nonce,
-                                     payload, tag)
+                return self._cold_op(worker, client, key, record, kind,
+                                     nonce, payload, tag)
             raise ProtocolError(f"aux says CACHED but host lost track of {key!r}")
         raise ProtocolError(f"operation on {key!r} starved after 64 CAS retries")
 
@@ -1158,12 +1185,12 @@ class FastVer:
         COUNTERS.cache_hits += 1  # no Merkle work: the deferred fast path
         return (result,)
 
-    def _cold_op(self, worker: int, client: Client, key: BitKey, kind: str,
-                 nonce: int, payload: bytes | None,
+    def _cold_op(self, worker: int, client: Client, key: BitKey, record,
+                 kind: str, nonce: int, payload: bytes | None,
                  tag: bytes | None) -> bytes | None:
         """Merkle-state slow path: chain in, validate, evict to deferred."""
         vid = self._admit_from_merkle(
-            key, "aux says MERKLE but {key!r} not in tree")
+            key, "aux says MERKLE but {key!r} not in tree", record)
         entry = self.mirrors[vid].entries[key]
         self._validate(self.logs[vid], client, key, kind, nonce, payload, tag)
         if kind == "get":
@@ -1459,7 +1486,7 @@ class FastVer:
         evicted merkle node against its parent's pointer, then the
         candidate against the terminal. Anchors and deferred/cached nodes
         are skipped — they are added without a hash check (their parents'
-        pointer hashes are legitimately stale), mirroring ``_cache_chain``.
+        pointer hashes are legitimately stale), mirroring ``_chain_in``.
         """
         path = result.path
         _, start = self._route(path)

@@ -43,10 +43,6 @@ class StructuralError(IntegrityError):
     """
 
 
-class TimestampError(IntegrityError):
-    """A deferred-mode timestamp violated the verifier clock discipline."""
-
-
 class EpochError(IntegrityError):
     """An epoch rule was violated (e.g., a record skipped epoch migration)."""
 

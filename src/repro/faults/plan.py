@@ -169,14 +169,8 @@ class FaultPlan:
         """The point names this plan can fire, sorted (reporting aid)."""
         return sorted(self._specs)
 
-    def encounters(self, point: str) -> int:
-        return self._encounters.get(point, 0)
-
     def fires(self, point: str) -> int:
         return self._fires.get(point, 0)
-
-    def total_fires(self) -> int:
-        return len(self.trace)
 
     def trace_digest(self) -> str:
         """A stable hash of the full injection trace (reproducibility)."""

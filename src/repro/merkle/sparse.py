@@ -39,7 +39,8 @@ class LookupResult:
     ``path`` lists the Merkle keys visited, root first; ``terminal`` is the
     last Merkle node examined (the tree parent for FOUND, the insertion
     point otherwise); ``bypass`` is the pointer target that proves absence
-    in the ABSENT_SPLIT case.
+    in the ABSENT_SPLIT case; ``kept`` counts the leading ``path`` nodes
+    taken over, unprobed, from the previous result of a run.
     """
 
     kind: str
@@ -47,66 +48,59 @@ class LookupResult:
     path: list[BitKey]
     terminal: BitKey
     bypass: BitKey | None = None
+    kept: int = 0
 
 
-def lookup(source: RecordSource, key: BitKey) -> LookupResult:
-    """Descend from the root following pointers toward a data key."""
-    node = BitKey.root()
-    path = [node]
-    while True:
-        value = source(node)
-        if not isinstance(value, MerkleValue):
-            raise StoreError(f"merkle record missing or malformed at {node!r}")
-        side = key.direction_from(node)
-        ptr = value.pointer(side)
-        if ptr is None:
-            return LookupResult(ABSENT_NULL, key, path, node)
-        if ptr.key == key:
-            return LookupResult(FOUND, key, path, node)
-        if ptr.key.is_proper_ancestor_of(key):
-            node = ptr.key
-            path.append(node)
-            continue
-        return LookupResult(ABSENT_SPLIT, key, path, node, bypass=ptr.key)
+def lookup(source: RecordSource, key: BitKey,
+           prev: LookupResult | None = None) -> LookupResult:
+    """Descend along pointers toward ``key`` (a data or a Merkle key).
 
-
-def merkle_parent_of(source: RecordSource, key: BitKey) -> BitKey:
-    """The tree parent (the Merkle node whose pointer targets ``key``).
-
-    Works for data keys and Merkle keys alike; raises if the key is not in
-    the tree (the root has no parent).
+    ``prev``, the previous result of a run of lookups over a tree whose
+    structure has not changed since, lets the descent resume at the deepest
+    node of its path that is still a proper ancestor of ``key``: the walk
+    from the root would get there by the same pointers. Any key order is
+    correct; sorted order makes the kept prefix long.
     """
-    if key.is_root:
-        raise StoreError("the root has no tree parent")
-    node = BitKey.root()
+    path, kept = [BitKey.root()], 0
+    if prev is not None:
+        kept = len(prev.path)
+        while kept > 1 and not prev.path[kept - 1].is_proper_ancestor_of(key):
+            kept -= 1
+        path = prev.path[:kept]
+    node = path[-1]
     while True:
         value = source(node)
         if not isinstance(value, MerkleValue):
             raise StoreError(f"merkle record missing or malformed at {node!r}")
         ptr = value.pointer(key.direction_from(node))
         if ptr is None:
-            raise StoreError(f"{key!r} is not reachable in the tree")
+            return LookupResult(ABSENT_NULL, key, path, node, None, kept)
         if ptr.key == key:
-            return node
-        if ptr.key.is_proper_ancestor_of(key):
-            node = ptr.key
-            continue
-        raise StoreError(f"{key!r} is not reachable in the tree")
+            return LookupResult(FOUND, key, path, node, None, kept)
+        if not ptr.key.is_proper_ancestor_of(key):
+            return LookupResult(ABSENT_SPLIT, key, path, node, ptr.key, kept)
+        node = ptr.key
+        path.append(node)
 
 
 def path_to_root(source: RecordSource, key: BitKey) -> list[BitKey]:
-    """Merkle keys from the root down to (excluding) ``key``.
-
-    Works for data keys and internal Merkle keys; the key must be in the
-    tree (the descent follows pointers, so it also works while child hashes
-    are lazily stale — only the *structure* is read).
-    """
+    """Merkle keys from the root down to (excluding) ``key``, a data or
+    Merkle key that must be in the tree. The descent follows pointers, so
+    it works while child hashes are lazily stale: only structure is read."""
     if key.is_root:
         return []
     result = lookup(source, key)
     if result.kind != FOUND:
         raise StoreError(f"{key!r} is not in the tree")
     return result.path
+
+
+def merkle_parent_of(source: RecordSource, key: BitKey) -> BitKey:
+    """The tree parent (the Merkle node whose pointer targets ``key``);
+    raises if the key is not in the tree (the root has no parent)."""
+    if key.is_root:
+        raise StoreError("the root has no tree parent")
+    return path_to_root(source, key)[-1]
 
 
 def build_tree(items: list[tuple[BitKey, DataValue]],

@@ -165,11 +165,6 @@ class Tracer(SpanQueries):
         through to it (the ring becomes a bounded cache over it)."""
         self._sink = sink
 
-    def detach_sink(self):
-        """Detach and return the current sink (None if none attached)."""
-        sink, self._sink = self._sink, None
-        return sink
-
     # ------------------------------------------------------------------
     def record(self, kind: str, ts: float, trace: str | None = None,
                **detail) -> None:

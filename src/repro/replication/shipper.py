@@ -157,13 +157,6 @@ class LogShipper:
         return len(self.outbox) + sum(
             len(s.entries) for s in self.unacked.values())
 
-    def lag_for(self, next_needed: int) -> int:
-        """Entries a standby at position ``next_needed`` has not applied
-        (retained shipments beyond it, plus the unshipped outbox)."""
-        shipped = sum(len(s.entries)
-                      for s in self.pending_for(next_needed))
-        return shipped + len(self.outbox)
-
     # ------------------------------------------------------------------
     def make_shipment(self) -> Shipment:
         """Package the whole outbox into one signed shipment.

@@ -6,9 +6,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import FastVer, FastVerConfig, new_client
+from repro.core.hostmirror import VerifierMirror
 from repro.core.keys import BitKey
 from repro.core.records import DataValue, MerkleValue, value_hash
 from repro.errors import HashMismatchError, StoreError, StructuralError
+from repro.instrument import COUNTERS
 from repro.merkle.plain import PlainMerkleStore, PlainMerkleVerifier
 from repro.merkle.proofs import generate_proof, verify_proof
 from repro.merkle.sparse import (
@@ -21,6 +24,7 @@ from repro.merkle.sparse import (
     merkle_parent_of,
     path_to_root,
 )
+from repro.store.faster import FasterKV
 
 
 def dk(i, width=8):
@@ -144,6 +148,177 @@ class TestLookup:
 
     def test_path_to_root_of_root(self):
         assert path_to_root(lambda k: None, BitKey.root()) == []
+
+    def test_parent_of_unreachable_key_raises(self):
+        source, root_value, records = build_db([1, 2])
+
+        def src(key):
+            return root_value if key.is_root else source(key)
+
+        for absent in (dk(200), dk(0b01000000)):    # null side, bypassed
+            with pytest.raises(StoreError):
+                merkle_parent_of(src, absent)
+            with pytest.raises(StoreError):
+                path_to_root(src, absent)
+        with pytest.raises(StoreError):
+            merkle_parent_of(src, BitKey.root())
+
+
+# ---------------------------------------------------------------------------
+# A run of lookups: each resumes where the previous one left the tree
+# ---------------------------------------------------------------------------
+def same_answer(resumed, fresh):
+    return (resumed.kind, resumed.key, resumed.path, resumed.terminal,
+            resumed.bypass) == (fresh.kind, fresh.key, fresh.path,
+                                fresh.terminal, fresh.bypass)
+
+
+class TestResumedLookup:
+    @given(st.sets(st.integers(0, 255), min_size=1, max_size=40),
+           st.lists(st.integers(0, 255), min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_resumed_equals_fresh_for_any_key_order(self, keys, probes):
+        """Field for field, whatever the previous key was and however its
+        lookup ended; what the resumed walk took over is a prefix of the
+        previous path, and it probed nothing above the last kept node."""
+        source, root_value, records = build_db(keys)
+        probed = []
+
+        def src(key):
+            probed.append(key)
+            return root_value if key.is_root else source(key)
+
+        prev = None
+        for probe in probes:
+            fresh = lookup(src, dk(probe))
+            assert fresh.kept == 0
+            del probed[:]
+            resumed = lookup(src, dk(probe), prev)
+            assert same_answer(resumed, fresh)
+            if prev is None:
+                assert resumed.kept == 0 and probed == fresh.path
+            else:
+                kept = resumed.kept
+                assert 1 <= kept <= len(prev.path)
+                assert resumed.path[:kept] == prev.path[:kept]
+                assert probed == resumed.path[kept - 1:]
+            prev = resumed
+
+    @pytest.mark.parametrize("first,kind", [
+        (0b00000001, FOUND), (0b11001000, ABSENT_NULL),
+        (0b01000000, ABSENT_SPLIT)])
+    def test_resumes_from_each_kind_of_predecessor(self, first, kind):
+        source, root_value, records = build_db(
+            [0b00000001, 0b00000010, 0b00000111, 0b00100000])
+
+        def src(key):
+            return root_value if key.is_root else source(key)
+
+        prev = lookup(src, dk(first))
+        assert prev.kind == kind
+        for probe in (0b00000010, 0b00000011, 0b00100000, 0b11111111,
+                      0b01111111, first):
+            assert same_answer(lookup(src, dk(probe), prev),
+                               lookup(src, dk(probe)))
+
+    def test_previous_result_is_left_untouched(self):
+        source, root_value, records = build_db(range(32))
+
+        def src(key):
+            return root_value if key.is_root else source(key)
+
+        prev = lookup(src, dk(5))
+        path = list(prev.path)
+        resumed = lookup(src, dk(200), prev)
+        assert prev.path == path and resumed.path is not prev.path
+
+
+class TestChainInCost:
+    """One store read per uncached chain node plus one for the key; the
+    next key of a sorted run pays only from the fork down."""
+
+    def _cold_db(self):
+        db = FastVer(FastVerConfig(key_width=16, cache_capacity=32),
+                     items=[(k * 7, b"v%d" % k) for k in range(60)])
+        client = new_client(1)
+        db.register_client(client)
+        db.verify()
+        db.flush_caches()           # every chain node below the root: cold
+        return db, client
+
+    def _watch(self, db, monkeypatch):
+        import repro.core.fastver as core
+        seen = {"read": [], "probe": [], "touch": []}
+        read_record, touch = FasterKV.read_record, VerifierMirror.touch
+        walk = core.lookup
+
+        def traced_read(store, key):
+            seen["read"].append(key)
+            return read_record(store, key)
+
+        def traced_touch(mirror, key):
+            seen["touch"].append(key)
+            return touch(mirror, key)
+
+        def traced_lookup(source, key, prev=None):
+            def probing(node):
+                seen["probe"].append(node)
+                return source(node)
+            return walk(probing, key, prev)
+
+        monkeypatch.setattr(FasterKV, "read_record", traced_read)
+        monkeypatch.setattr(VerifierMirror, "touch", traced_touch)
+        monkeypatch.setattr(core, "lookup", traced_lookup)
+        return seen
+
+    def test_one_cold_get_reads_each_record_once(self, monkeypatch):
+        db, client = self._cold_db()
+        key = db.data_key(21 * 7)
+        path = lookup(db.host_value, key).path
+        assert len(path) > 2
+        seen = self._watch(db, monkeypatch)
+        writes, reads = COUNTERS.store_writes, COUNTERS.store_reads
+        assert db.get(client, 21 * 7).payload == b"v21"
+        assert seen["probe"] == path
+        # The op's own read of the key, then each chain node below the
+        # pinned root exactly once — by the walk, never again by the chain.
+        assert seen["read"] == [key] + path[1:]
+        # `store_reads` ticks at the index probe and at the log slot: twice
+        # per read, twice per write (all in-place upserts here).
+        assert COUNTERS.store_reads - reads == \
+            2 * len(path) + 2 * (COUNTERS.store_writes - writes)
+
+    def test_records_that_came_off_the_device_are_read_again(
+            self, monkeypatch):
+        """Each device access is where faults and rot surface, so the fault
+        plan's n-th device read stays the n-th: only records the log holds
+        in memory are handed on."""
+        db, client = self._cold_db()
+        db.checkpoint()             # every record now lives on the device
+        key = db.data_key(21 * 7)
+        path = lookup(db.host_value, key).path
+        seen = self._watch(db, monkeypatch)
+        device_reads = db.store.log.device.reads
+        assert db.get(client, 21 * 7).payload == b"v21"
+        assert seen["read"] == [key] + path[1:] + path[1:] + [key]
+        assert db.store.log.device.reads - device_reads == 2 * len(path)
+
+    def test_second_key_of_a_sorted_pair_pays_from_the_fork_down(
+            self, monkeypatch):
+        db, client = self._cold_db()
+        first, second = db.data_key(20 * 7), db.data_key(21 * 7)
+        path1 = lookup(db.host_value, first).path
+        path2 = lookup(db.host_value, second).path
+        shared = sum(1 for a, b in zip(path1, path2) if a == b)
+        assert 1 < shared < len(path2)      # a fork below the root
+        seen = self._watch(db, monkeypatch)
+        assert db.scan(client, 20 * 7, 2) == [(140, b"v20"), (147, b"v21")]
+        # The second walk starts at the fork node, the second chain below it.
+        assert seen["probe"] == path1 + path2[shared - 1:]
+        assert seen["read"] == [first] + path1[1:] + [second] + path2[shared:]
+        assert seen["touch"] == [BitKey.root()]     # by the first key only
+        assert db._run is None
+
 
 
 # ---------------------------------------------------------------------------
