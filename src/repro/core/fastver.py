@@ -583,11 +583,11 @@ class FastVer:
         """The store record of a locked, uncached ``key`` in mid-move.
         ``seen``, the copy an earlier step read, is still the latest (the
         evictions since wrote only their victim's record and its parent's
-        *cached* entry) and is handed on while the log holds it in memory;
-        one that came off the device is read again, as fault plans count."""
-        store, head = self.store, self.store.log.head_address
-        if seen is None or (head and store.index.lookup(key) < head):
-            return store.read_record(key)
+        *cached* entry) and is handed on while the whole log is in memory;
+        once pages live on the device every read goes back to the store,
+        device accesses being what fault plans count (`HybridLog.get`)."""
+        if seen is None or self.store.log.head_address:
+            return self.store.read_record(key)
         return seen
 
     def _admit_from_deferred(self, vid: int, key: BitKey, value: Value) -> None:

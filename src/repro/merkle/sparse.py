@@ -63,10 +63,11 @@ def lookup(source: RecordSource, key: BitKey,
     """
     path, kept = [BitKey.root()], 0
     if prev is not None:
-        kept = len(prev.path)
-        while kept > 1 and not prev.path[kept - 1].is_proper_ancestor_of(key):
+        path = prev.path
+        kept = len(path)
+        while kept > 1 and not path[kept - 1].is_proper_ancestor_of(key):
             kept -= 1
-        path = prev.path[:kept]
+        path = path[:kept]
     node = path[-1]
     while True:
         value = source(node)

@@ -3,6 +3,8 @@ classic dense baseline (§4.1–4.2, Example 4.1)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,11 +152,7 @@ class TestLookup:
         assert path_to_root(lambda k: None, BitKey.root()) == []
 
     def test_parent_of_unreachable_key_raises(self):
-        source, root_value, records = build_db([1, 2])
-
-        def src(key):
-            return root_value if key.is_root else source(key)
-
+        src = rooted_source([1, 2])
         for absent in (dk(200), dk(0b01000000)):    # null side, bypassed
             with pytest.raises(StoreError):
                 merkle_parent_of(src, absent)
@@ -167,10 +165,15 @@ class TestLookup:
 # ---------------------------------------------------------------------------
 # A run of lookups: each resumes where the previous one left the tree
 # ---------------------------------------------------------------------------
+def rooted_source(keys):
+    """A record source over ``keys`` that also serves the root record."""
+    source, root_value, _records = build_db(keys)
+    return lambda key: root_value if key.is_root else source(key)
+
+
 def same_answer(resumed, fresh):
-    return (resumed.kind, resumed.key, resumed.path, resumed.terminal,
-            resumed.bypass) == (fresh.kind, fresh.key, fresh.path,
-                                fresh.terminal, fresh.bypass)
+    """Equal field for field, apart from how much was taken over."""
+    return replace(resumed, kept=0) == fresh
 
 
 class TestResumedLookup:
@@ -181,12 +184,11 @@ class TestResumedLookup:
         """Field for field, whatever the previous key was and however its
         lookup ended; what the resumed walk took over is a prefix of the
         previous path, and it probed nothing above the last kept node."""
-        source, root_value, records = build_db(keys)
-        probed = []
+        source, probed = rooted_source(keys), []
 
         def src(key):
             probed.append(key)
-            return root_value if key.is_root else source(key)
+            return source(key)
 
         prev = None
         for probe in probes:
@@ -208,12 +210,7 @@ class TestResumedLookup:
         (0b00000001, FOUND), (0b11001000, ABSENT_NULL),
         (0b01000000, ABSENT_SPLIT)])
     def test_resumes_from_each_kind_of_predecessor(self, first, kind):
-        source, root_value, records = build_db(
-            [0b00000001, 0b00000010, 0b00000111, 0b00100000])
-
-        def src(key):
-            return root_value if key.is_root else source(key)
-
+        src = rooted_source([0b00000001, 0b00000010, 0b00000111, 0b00100000])
         prev = lookup(src, dk(first))
         assert prev.kind == kind
         for probe in (0b00000010, 0b00000011, 0b00100000, 0b11111111,
@@ -222,11 +219,7 @@ class TestResumedLookup:
                                lookup(src, dk(probe)))
 
     def test_previous_result_is_left_untouched(self):
-        source, root_value, records = build_db(range(32))
-
-        def src(key):
-            return root_value if key.is_root else source(key)
-
+        src = rooted_source(range(32))
         prev = lookup(src, dk(5))
         path = list(prev.path)
         resumed = lookup(src, dk(200), prev)
@@ -246,7 +239,7 @@ class TestChainInCost:
         db.flush_caches()           # every chain node below the root: cold
         return db, client
 
-    def _watch(self, db, monkeypatch):
+    def _watch(self, monkeypatch):
         import repro.core.fastver as core
         seen = {"read": [], "probe": [], "touch": []}
         read_record, touch = FasterKV.read_record, VerifierMirror.touch
@@ -276,7 +269,7 @@ class TestChainInCost:
         key = db.data_key(21 * 7)
         path = lookup(db.host_value, key).path
         assert len(path) > 2
-        seen = self._watch(db, monkeypatch)
+        seen = self._watch(monkeypatch)
         writes, reads = COUNTERS.store_writes, COUNTERS.store_reads
         assert db.get(client, 21 * 7).payload == b"v21"
         assert seen["probe"] == path
@@ -290,14 +283,14 @@ class TestChainInCost:
 
     def test_records_that_came_off_the_device_are_read_again(
             self, monkeypatch):
-        """Each device access is where faults and rot surface, so the fault
-        plan's n-th device read stays the n-th: only records the log holds
-        in memory are handed on."""
+        """Fault plans fire on the n-th device read, so once the log has
+        pages on the device every read goes back to the store and the n-th
+        stays the n-th; records are handed on only while it has none."""
         db, client = self._cold_db()
         db.checkpoint()             # every record now lives on the device
         key = db.data_key(21 * 7)
         path = lookup(db.host_value, key).path
-        seen = self._watch(db, monkeypatch)
+        seen = self._watch(monkeypatch)
         device_reads = db.store.log.device.reads
         assert db.get(client, 21 * 7).payload == b"v21"
         assert seen["read"] == [key] + path[1:] + path[1:] + [key]
@@ -311,14 +304,13 @@ class TestChainInCost:
         path2 = lookup(db.host_value, second).path
         shared = sum(1 for a, b in zip(path1, path2) if a == b)
         assert 1 < shared < len(path2)      # a fork below the root
-        seen = self._watch(db, monkeypatch)
+        seen = self._watch(monkeypatch)
         assert db.scan(client, 20 * 7, 2) == [(140, b"v20"), (147, b"v21")]
         # The second walk starts at the fork node, the second chain below it.
         assert seen["probe"] == path1 + path2[shared - 1:]
         assert seen["read"] == [first] + path1[1:] + [second] + path2[shared:]
         assert seen["touch"] == [BitKey.root()]     # by the first key only
         assert db._run is None
-
 
 
 # ---------------------------------------------------------------------------
