@@ -10,11 +10,13 @@ of a data and of a Merkle record; per entry of the checkpoint's index
 blob; per record of ``checkpoint.recover``. Then the count the read cache
 exists for: stable-page decodes and cache hits per op over ``COLD_OPS``
 YCSB-A ops against a cold 20K-record ``FastVer`` right after a checkpoint
-(``HybridLog.page_decodes`` / ``page_hits``).
+(``HybridLog.page_decodes`` / ``page_hits``). Then that store's whole
+``db.recover()`` per index entry, and the page decodes one recovery makes
+per entry (both scans read every page; how many they decode is the count).
 
 Run as ``python benchmarks/bench_store_rates.py``: prints one JSON object.
 No threshold — the timings are wall-clock numbers on whatever box runs
-them, each the fastest of ``ROUNDS`` rounds; the two counts repeat exactly.
+them, each the fastest of ``ROUNDS`` rounds; the three counts repeat exactly.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ def checkpointed_store() -> FasterKV:
     return store
 
 
-def cold_run() -> tuple[float, float]:
-    """Stable decodes and hits per op, first ``COLD_OPS`` ops after a
-    checkpoint dropped every in-memory record."""
+def cold_run() -> tuple[FastVer, float, float]:
+    """The cold store, and stable decodes and hits per op over the first
+    ``COLD_OPS`` ops after a checkpoint dropped every in-memory record."""
     db = FastVer(
         FastVerConfig(key_width=KEY_WIDTH, n_workers=4, partition_depth=4,
                       cache_capacity=512),
@@ -134,8 +136,19 @@ def cold_run() -> tuple[float, float]:
         else:
             db.get(client, key)
     db.flush()
-    return ((log.page_decodes - decodes) / COLD_OPS,
+    return (db, (log.page_decodes - decodes) / COLD_OPS,
             (log.page_hits - hits) / COLD_OPS)
+
+
+def bench_fastver_recover(db: FastVer) -> tuple[int, float, float]:
+    """Index entries of the checkpoint, ns of ``db.recover()`` per entry,
+    and pages decoded per entry by one recovery (the recovered store's log
+    is new, so its count is that recovery's alone)."""
+    ckpt = db.last_checkpoint
+    total_ns = fastest_ns(lambda: None, lambda _: db.recover(ckpt), 1)
+    entries = len(db.store)
+    return (entries, round(total_ns / entries, 1),
+            db.store.log.page_decodes / entries)
 
 
 def run_rates() -> dict:
@@ -143,7 +156,8 @@ def run_rates() -> dict:
     token = take_checkpoint(store, version=1)
     serialize_data, deserialize_data = bench_codec(data_record())
     serialize_merkle, deserialize_merkle = bench_codec(merkle_record())
-    decodes_per_op, hits_per_op = cold_run()
+    db, decodes_per_op, hits_per_op = cold_run()
+    recover_entries, fastver_recover, recover_decodes = bench_fastver_recover(db)
     return {
         "unit": "ns",
         "calls": CALLS,
@@ -170,6 +184,9 @@ def run_rates() -> dict:
         "cold_ops": COLD_OPS,
         "cold_stable_decodes_per_op": decodes_per_op,
         "cold_stable_hits_per_op": hits_per_op,
+        "fastver_recover_entries": recover_entries,
+        "fastver_recover_per_record": fastver_recover,
+        "recover_decodes_per_record": recover_decodes,
     }
 
 

@@ -33,6 +33,11 @@ def small_fastver(n_records: int = 100, n_workers: int = 2,
     return db, client
 
 
+def fresh_copy(page: bytes) -> bytes:
+    """Equal bytes in a new object (``bytes(page)`` would return ``page``)."""
+    return bytes(bytearray(page))
+
+
 @pytest.fixture
 def db_and_client():
     return small_fastver()

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.core.keys import BitKey
 from repro.core.records import DataValue
-from repro.errors import CheckpointError, RecoveryError
+from repro.errors import CheckpointError, RecoveryError, TransientIOError
+from repro.faults import FaultPlan
+from repro.instrument import COUNTERS
 from repro.store.checkpoint import (
     _deserialize_index,
     _serialize_index,
@@ -15,6 +17,7 @@ from repro.store.checkpoint import (
     take_checkpoint,
 )
 from repro.store.faster import FasterKV
+from repro.store.hybridlog import LogRecord
 
 
 def dk(i):
@@ -88,6 +91,39 @@ class TestCheckpoint:
         a1 = store.index.lookup(dk(1))
         pages[a0], pages[a1] = pages[a1], pages[a0]
         with pytest.raises(RecoveryError):
+            recover(token, store.log.device)
+
+    def test_recover_reads_and_decodes_each_entry_once(self):
+        store = loaded_store(40)
+        store.delete(dk(7))
+        token = take_checkpoint(store, version=1)
+        device = store.log.device
+        device.faults = FaultPlan(specs={"device.read.transient": [5, 6]})
+        reads, store_reads = device.reads, COUNTERS.store_reads
+        recovered = recover(token, device)
+        n = len(recovered)
+        assert n == 40
+        assert device.reads - reads == n + 2
+        assert COUNTERS.store_reads - store_reads == n
+        assert device.faults.trace == [("device.read.transient", 5),
+                                       ("device.read.transient", 6)]
+        assert (recovered.log.page_decodes, recovered.log.page_hits) == (n, 0)
+
+    def test_a_page_that_fails_three_reads_is_not_a_recovery_error(self):
+        store = loaded_store()
+        token = take_checkpoint(store, version=1)
+        store.log.device.faults = FaultPlan(
+            specs={"device.read.transient": [2, 3, 4]})
+        with pytest.raises(TransientIOError):
+            recover(token, store.log.device)
+
+    def test_a_page_decoding_to_another_key_is_named(self):
+        store = loaded_store()
+        token = take_checkpoint(store, version=1)
+        address = store.index.lookup(dk(3))
+        store.log.device._pages[address] = LogRecord(
+            dk(4), DataValue(b"v3"), 3).serialize()
+        with pytest.raises(RecoveryError, match="resolves to a record for"):
             recover(token, store.log.device)
 
     def test_corrupt_index_blob_detected(self):

@@ -33,6 +33,7 @@ from repro.store.hybridlog import (
     LogDevice,
     LogRecord,
 )
+from tests.conftest import fresh_copy
 
 
 def dk(i, width=16):
@@ -217,11 +218,6 @@ def flushed_log(n=1):
         log.append(LogRecord(dk(i), DataValue(b"v%d" % i), i))
     log.flush_until(log.tail_address)
     return log
-
-
-def fresh_copy(page: bytes) -> bytes:
-    """Equal bytes in a new object (``bytes(page)`` would return ``page``)."""
-    return bytes(bytearray(page))
 
 
 class UncachedLog(HybridLog):
