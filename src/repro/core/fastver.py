@@ -1316,7 +1316,9 @@ class FastVer:
         rot_blob_at_rest(checkpoint.store_token, self.faults)
         # Rebuild the untrusted store first: if the device cannot serve
         # this token (RecoveryError), fail before touching enclave state.
-        store = store_recover(checkpoint.store_token, self.store.log.device)
+        pages, auxes = [], []  # what that scan saw: this call's, no longer
+        store = store_recover(checkpoint.store_token, self.store.log.device,
+                              pages, auxes)
         self.enclave.reboot()
         # Register clients before restoring state so the restored nonce
         # high-water marks land on registered entries (anti-replay burn).
@@ -1330,7 +1332,7 @@ class FastVer:
         self.anchors = dict(checkpoint.anchors)
         deferred: dict[BitKey, tuple[int, int]] = {}
         try:
-            for key, _value, aux_word in self.store.items():
+            for key, aux_word in store.aux_words(pages, auxes):
                 aux = Aux.unpack(aux_word)
                 if aux.state is Protection.DEFERRED:
                     deferred[key] = (aux.timestamp, aux.epoch)

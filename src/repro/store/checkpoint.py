@@ -139,12 +139,16 @@ def rot_blob_at_rest(token: CheckpointToken, faults) -> bool:
     return True
 
 
-def recover(token: CheckpointToken, device: LogDevice) -> FasterKV:
+def recover(token: CheckpointToken, device: LogDevice,
+            pages: list | None = None, auxes: list | None = None) -> FasterKV:
     """Rebuild a store from a checkpoint and its log device.
 
     Every index entry must resolve on the device; a missing page means the
     adversary destroyed the log (§7 notes durability cannot survive that —
-    the failure is *detected*, not repaired).
+    the failure is *detected*, not repaired). ``pages`` / ``auxes`` (empty
+    lists, for :meth:`FasterKV.aux_words`) take, in index order, the page
+    object each entry's own read returned — rotted, if that read rotted it —
+    and its aux word, ``None`` for a tombstone.
     """
     store = FasterKV(ordered_width=token.ordered_width, device=device)
     entries = _deserialize_index(token.index_blob)
@@ -157,16 +161,20 @@ def recover(token: CheckpointToken, device: LogDevice) -> FasterKV:
         if address not in device:
             raise RecoveryError(f"log page {address} missing from device")
         try:
-            record = store.log.get(address)
+            page = store.log.fetch(address)
+            record = store.log.decode(address, page, key)
         except AvailabilityError:
             raise  # transient; the caller's bounded retry handles it
         except Exception as exc:
             raise RecoveryError(
                 f"log page {address} is undecodable: {exc}") from exc
-        if record.key != key:
+        if record.key is not key and record.key != key:
             raise RecoveryError(
                 f"index entry for {key!r} resolves to a record for {record.key!r}"
             )
+        if pages is not None:
+            pages.append(page)
+            auxes.append(None if record.tombstone else record.aux)
         if not record.tombstone and key.length == token.ordered_width:
             live.append(key)
     store.directory.extend(live)

@@ -9,8 +9,7 @@ FastVer builds on:
   region or by read-copy-update below it;
 * ``try_cas`` — the atomic (value, aux) swap the FastVer worker loop uses
   for speculative updates (§5.3);
-* ``scan_from`` — ordered scans over data keys (YCSB-E);
-* checkpoint hooks used by the CPR module.
+* ``scan_from`` — ordered scans over data keys (YCSB-E).
 
 The store is *byzantine* in the threat model: nothing here is trusted, and
 the adversary package mutates these structures directly in tests.
@@ -24,7 +23,6 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core.keys import BitKey
 from repro.core.records import Value
-from repro.errors import StoreError
 from repro.instrument import COUNTERS
 from repro.store.atomic import compare_and_swap_pair
 from repro.store.epoch_protection import LightEpoch
@@ -120,10 +118,6 @@ class FasterKV:
         if address == NULL_ADDRESS:
             return None
         return self.log.get(address)
-
-    def contains(self, key: BitKey) -> bool:
-        record = self.read_record(key)
-        return record is not None and not record.tombstone
 
     def upsert(self, key: BitKey, value: Value, aux: int = 0) -> None:
         """Blind write: install (value, aux) as the key's latest version."""
@@ -223,11 +217,28 @@ class FasterKV:
     # Enumeration (verification scans, checkpoints)
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple[BitKey, Value, int]]:
-        """All live (key, value, aux) triples, index order."""
-        for key, address in list(self.index.items()):
+        """All live (key, value, aux) triples, index order. Walks the index
+        itself, not a copy: do not write to the store while iterating."""
+        for key, address in self.index.items():
             record = self.log.get(address)
             if not record.tombstone:
                 yield key, record.value, record.aux
+
+    def aux_words(self, pages: list[bytes], auxes: list[int | None]
+                  ) -> Iterator[tuple[BitKey, int]]:
+        """``(key, aux)`` of every live record, given what the scan of
+        :func:`~repro.store.checkpoint.recover` saw. Every page is read
+        again; one the device returns as the *same object* (every write, rot
+        or tear installs a new one) stands, any other is decoded."""
+        fetch, decode = self.log.fetch, self.log.decode
+        for (key, address), page, aux in zip(self.index.items(), pages, auxes,
+                                             strict=True):
+            blob = fetch(address)
+            if blob is not page:
+                record = decode(address, blob)
+                aux = None if record.tombstone else record.aux
+            if aux is not None:
+                yield key, aux
 
     def __len__(self) -> int:
         return len(self.index)
@@ -242,15 +253,3 @@ class FasterKV:
             self.directory.add(key)
         else:
             self.directory.remove(key)
-
-    def validate_chain(self, key: BitKey, limit: int = 64) -> list[int]:
-        """Walk the version chain of a key (debug/diagnostic helper)."""
-        addresses: list[int] = []
-        address = self.index.lookup(key)
-        while address != NULL_ADDRESS and len(addresses) < limit:
-            addresses.append(address)
-            record = self.log.get(address)
-            if record.prev_address == address:
-                raise StoreError(f"self-referential chain at address {address}")
-            address = record.prev_address
-        return addresses

@@ -50,9 +50,6 @@ class HashIndex:
     def __contains__(self, key: BitKey) -> bool:
         return key in self._entries
 
-    def keys(self) -> Iterator[BitKey]:
-        return iter(self._entries)
-
     def items(self) -> Iterator[tuple[BitKey, int]]:
         return iter(self._entries.items())
 

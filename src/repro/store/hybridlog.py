@@ -70,18 +70,18 @@ class LogRecord:
         )
 
     @classmethod
-    def deserialize(cls, blob: bytes) -> "LogRecord":
+    def deserialize(cls, blob: bytes, key: BitKey | None = None) -> "LogRecord":
+        """Decode a page, reusing ``key`` when the page carries its encoding."""
         if len(blob) < 21:
             raise StoreError("truncated log record")
-        flags = blob[0]
         aux = int.from_bytes(blob[1:9], "big")
         prev = int.from_bytes(blob[9:17], "big", signed=True)
-        klen = int.from_bytes(blob[17:21], "big")
-        key = BitKey.from_encoded(blob[21:21 + klen])
-        off = 21 + klen
+        off = 21 + int.from_bytes(blob[17:21], "big")
+        if key is None or blob[21:off] != key.to_bytes():
+            key = BitKey.from_encoded(blob[21:off])
         vlen = int.from_bytes(blob[off:off + 4], "big")
         value = decode_value(blob[off + 4:off + 4 + vlen])
-        return cls(key, value, aux, prev, tombstone=bool(flags & 1))
+        return cls(key, value, aux, prev, tombstone=bool(blob[0] & 1))
 
 
 class LogDevice:
@@ -206,19 +206,31 @@ class HybridLog:
         if cached[0] is blob:
             self.page_hits += 1
             return LogRecord(*cached[1:])
-        self.page_decodes += 1
-        try:
-            record = LogRecord.deserialize(blob)
-        except (StoreError, ValueError) as exc:
-            # Structural rot: the persisted bytes no longer decode. Typed
-            # as a detection (rot and tampering are indistinguishable on
-            # untrusted storage), never as a raw parse error.
-            raise CorruptPageError(
-                f"page at address {address} failed structural decode: "
-                f"{exc}") from exc
+        record = self.decode(address, blob)
         self._decoded[slot] = (blob, record.key, record.value, record.aux,
                                record.prev_address, record.tombstone)
         return record
+
+    def fetch(self, address: int) -> bytes:
+        """The read half of a stable :meth:`get`, for a scan that decodes only
+        what it must (and skips the page cache, which it could only thrash)."""
+        COUNTERS.store_reads += 1
+        if address < 0 or address >= self._next_address:
+            raise StoreError(f"address {address} was never allocated")
+        return self.device.read_with_retry(address)
+
+    def decode(self, address: int, blob: bytes,
+               key: BitKey | None = None) -> LogRecord:
+        """The decode half: ``blob`` as the record at ``address``."""
+        self.page_decodes += 1
+        try:
+            return LogRecord.deserialize(blob, key)
+        except (StoreError, ValueError) as exc:
+            # Structural rot, typed as a detection (rot and tampering are
+            # indistinguishable on untrusted storage), never a parse error.
+            raise CorruptPageError(
+                f"page at address {address} failed structural decode: "
+                f"{exc}") from exc
 
     def is_mutable(self, address: int) -> bool:
         return address >= self.read_only_address
@@ -302,21 +314,3 @@ class HybridLog:
         """Commit the verified flushed prefix: head may only advance."""
         self.head_address = max(self.head_address, new_head)
         self.read_only_address = max(self.read_only_address, self.head_address)
-
-    def flush_all(self) -> int:
-        """Flush every in-memory record (verified), keeping records
-        readable — flushed pages are re-read from the device on demand."""
-        flushed = 0
-        faults = self.device.faults
-        for address in sorted(self._records):
-            if faults is not None and faults.fire("device.flush.partial"):
-                raise TransientIOError(
-                    f"flush aborted before address {address} "
-                    f"(simulated partial flush)")
-            self._write_page(address, self._records[address].serialize())
-            flushed += 1
-        return flushed
-
-    @property
-    def in_memory_count(self) -> int:
-        return len(self._records)

@@ -75,7 +75,7 @@ class TestLogScanRecovery:
 
     def test_rebuild_matches_original(self):
         store = self._store()
-        store.log.flush_all()
+        store.log.flush_until(store.log.tail_address)
         rebuilt = rebuild_index_from_log(store.log.device,
                                          store.log.tail_address,
                                          ordered_width=16)
@@ -88,7 +88,7 @@ class TestLogScanRecovery:
 
     def test_missing_pages_lose_data_quietly(self):
         store = self._store()
-        store.log.flush_all()
+        store.log.flush_until(store.log.tail_address)
         victim = store.index.lookup(BitKey.data_key(20, 16))
         del store.log.device._pages[victim]
         rebuilt = rebuild_index_from_log(store.log.device,
@@ -99,7 +99,7 @@ class TestLogScanRecovery:
 
     def test_corrupt_page_raises(self):
         store = self._store()
-        store.log.flush_all()
+        store.log.flush_until(store.log.tail_address)
         victim = store.index.lookup(BitKey.data_key(20, 16))
         store.log.device._pages[victim] = b"garbage"
         with pytest.raises(RecoveryError):

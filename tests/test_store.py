@@ -174,7 +174,7 @@ class TestHybridLog:
         log = HybridLog(memory_budget_records=10)
         for i in range(25):
             log.append(LogRecord(dk(i), DataValue(b"x"), 0))
-        assert log.in_memory_count <= 11
+        assert len(log._records) <= 11
         assert len(log.device) >= 14
         # Every record still readable.
         for addr in range(25):
@@ -197,6 +197,26 @@ class TestHybridLog:
         rec = LogRecord(dk(1), DataValue(b"v"), 0)
         with pytest.raises(StoreError):
             LogRecord.deserialize(rec.serialize()[:10])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "deserialize never checks 21 + klen + 4 + vlen == len(blob); the "
+        "check moves chaos digests (server+scrub seed 7), so it waits for "
+        "its own re-pin: ROADMAP 'Smaller items', EXPERIMENTS N5"))
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(blob) // 2],     # torn: 33 of 100 value bytes
+        lambda blob: blob + b"\x00",            # trailing junk
+    ])
+    def test_deserialize_rejects_a_length_mismatch(self, damage):
+        blob = LogRecord(dk(1), DataValue(b"v" * 100), 7).serialize()
+        with pytest.raises(StoreError):
+            LogRecord.deserialize(damage(blob))
+
+    def test_deserialize_shares_the_expected_key(self):
+        key = dk(9)
+        blob = LogRecord(dk(9), DataValue(b"v"), 0).serialize()
+        assert LogRecord.deserialize(blob, key).key is key
+        other = LogRecord.deserialize(blob, dk(8)).key
+        assert other == key and other is not key
 
     def test_device_missing_address(self):
         device = LogDevice()
@@ -514,8 +534,8 @@ class TestFasterKV:
         store.log.read_only_address = store.log.tail_address
         store.upsert(dk(1), DataValue(b"b"))
         assert store.read(dk(1))[0] == DataValue(b"b")
-        chain = store.validate_chain(dk(1))
-        assert len(chain) == 2
+        newest = store.read_record(dk(1))
+        assert store.log.get(newest.prev_address).value == DataValue(b"a")
 
     def test_rmw(self):
         store = FasterKV()
