@@ -35,7 +35,7 @@ from repro.instrument import COUNTERS
 NULL_ADDRESS = -1
 
 #: Decoded stable pages a log caches. 256 hit like 4,096 (a cold op re-reads
-#: its chain at once); recovery's scans slow as more are kept (EXPERIMENTS N3).
+#: its chain at once); keeping more alive only costs (EXPERIMENTS N3).
 PAGE_CACHE_SLOTS = 256
 
 
