@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from types import SimpleNamespace
 
 import pytest
@@ -635,7 +636,8 @@ class TestKeyDirectory:
             for k in batch:
                 single.add(dk(k))
         assert bulk.keys() == single.keys()
-        assert bulk._members == single._members
+        assert len(bulk) == len(single)
+        assert all(dk(k) in bulk for k in first + second)
 
     @given(st.sets(st.integers(0, 1000), max_size=50),
            st.integers(0, 1000), st.integers(0, 10))
@@ -645,3 +647,64 @@ class TestKeyDirectory:
             d.add(dk(k))
         expected = [k for k in sorted(keys) if dk(k) >= dk(start)][:count]
         assert [k.bits for k in d.range_from(dk(start), count)] == expected
+
+
+class KeyDirectoryMachine(RuleBasedStateMachine):
+    """``KeyDirectory`` against a sorted list of ``bits`` and the first key
+    object added per ``bits``: scans return the directory's own objects,
+    and a key of another width with the same ``bits`` is never a member."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = KeyDirectory()
+        self.model: list[int] = []
+        self.objects: dict[int, BitKey] = {}
+
+    def track(self, key):
+        if key.bits not in self.objects:
+            self.objects[key.bits] = key
+            bisect.insort(self.model, key.bits)
+
+    @rule(k=st.integers(0, 63))
+    def add(self, k):
+        key = dk(k)
+        self.directory.add(key)
+        self.track(key)
+
+    @rule(k=st.integers(0, 63))
+    def remove(self, k):
+        self.directory.remove(dk(k))
+        if self.objects.pop(k, None) is not None:
+            self.model.remove(k)
+
+    @rule(ks=st.lists(st.integers(0, 63), max_size=8))
+    def extend(self, ks):
+        keys = [dk(k) for k in ks]
+        self.directory.extend(keys)
+        for key in keys:
+            self.track(key)
+
+    @rule(start=st.integers(0, 64), count=st.integers(0, 10))
+    def range_from(self, start, count):
+        got = self.directory.range_from(dk(start), count)
+        expected = [b for b in self.model if b >= start][:count]
+        assert [key.bits for key in got] == expected
+        assert all(key is self.objects[key.bits] for key in got)
+
+    @rule(k=st.integers(0, 63), width=st.sampled_from([8, 15, 17, 24]))
+    def other_width_is_not_a_member(self, k, width):
+        assert BitKey(width, k) not in self.directory
+        assert (dk(k) in self.directory) == (k in self.objects)
+
+    @invariant()
+    def matches_the_model(self):
+        assert len(self.directory) == len(self.model)
+        keys = self.directory.keys()
+        assert [key.bits for key in keys] == self.model
+        assert all(key is self.objects[key.bits] for key in keys)
+
+
+TestKeyDirectoryMachine = KeyDirectoryMachine.TestCase
+TestKeyDirectoryMachine.settings = settings(max_examples=60,
+                                            stateful_step_count=40,
+                                            deadline=None)
