@@ -128,7 +128,8 @@ class VerifierGroup:
         """
         if self._loaded:
             raise ProtocolError("database already loaded")
-        data = sorted((k, DataValue(p)) for k, p in items)
+        data = sorted(((k, DataValue(p)) for k, p in items),
+                      key=lambda item: item[0].bits)
         merkle_records, root_value = build_tree(data)
         self.threads[0].pin_root(root_value)
         self._loaded = True

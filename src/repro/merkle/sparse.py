@@ -7,7 +7,7 @@ the navigation an honest host performs to serve operations:
   key as present / absent-at-null-side / absent-needs-split, returning the
   Merkle path that a verifier interaction will need;
 * :func:`build_tree` — bulk-construct the Patricia tree for a sorted batch
-  of records (O(n) hash computations), used to initialize large databases
+  of records (one hash per node), used to initialize large databases
   without pushing every record through the verifier cache machinery.
 
 Nothing here is trusted: the verifier re-checks every structural claim
@@ -17,6 +17,7 @@ navigation results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,41 +112,43 @@ def build_tree(items: list[tuple[BitKey, DataValue]],
     Returns ``(merkle_records, root_value)`` where ``merkle_records`` maps
     each internal Merkle key (root excluded) to its value, and
     ``root_value`` is the root record's value the verifier will pin.
-    One :func:`value_hash` per node/leaf — O(n) total.
+    One :func:`value_hash` per node/leaf, children first. The keys share
+    one width, so key order is ``bits`` order: a slice's LCA is the common
+    prefix of its first and last ``bits``, and its split a bisect.
     """
-    keys = [k for k, _ in items]
-    if keys != sorted(keys):
-        raise ValueError("build_tree requires items sorted by key")
-    if len(set(keys)) != len(keys):
-        raise ValueError("build_tree requires distinct keys")
-    values = dict(items)
+    width = items[0][0].length if items else 0
+    bits: list[int] = []
+    for key, _ in items:
+        if key.length != width:
+            raise ValueError("build_tree requires keys of one width")
+        if bits and key.bits <= bits[-1]:
+            raise ValueError("build_tree requires distinct keys"
+                             if key.bits == bits[-1] else
+                             "build_tree requires items sorted by key")
+        bits.append(key.bits)
     records: dict[BitKey, MerkleValue] = {}
 
     def build_slice(lo: int, hi: int) -> Pointer:
-        """Build the subtree for keys[lo:hi] (non-empty); return the pointer
-        a parent should hold for it."""
+        """Build the subtree for items[lo:hi] (non-empty); return the
+        pointer a parent should hold for it."""
         if hi - lo == 1:
-            key = keys[lo]
-            return Pointer(key, value_hash(values[key], counters=counters))
-        node = keys[lo].lca(keys[hi - 1])
-        # Partition at the branch bit: left half has 0 at depth len(node).
-        split = lo
-        while split < hi and keys[split].bit(node.length) == 0:
-            split += 1
-        if split == lo or split == hi:
-            raise ValueError("LCA computation failed to split the slice")
+            key, value = items[lo]
+            return Pointer(key, value_hash(value, counters=counters))
+        below = (bits[lo] ^ bits[hi - 1]).bit_length()  # bits below the LCA
+        prefix = bits[lo] >> below
+        # The right child's keys are those with the branch bit set.
+        split = bisect_left(bits, (2 * prefix + 1) << (below - 1), lo, hi)
         value = MerkleValue(build_slice(lo, split), build_slice(split, hi))
+        node = BitKey(width - below, prefix)
         records[node] = value
         return Pointer(node, value_hash(value, counters=counters))
 
-    if not keys:
+    if not items:
         return records, MerkleValue(None, None)
     # Partition the full set at the root's branch bit (depth 0).
-    split = 0
-    while split < len(keys) and keys[split].bit(0) == 0:
-        split += 1
+    split = bisect_left(bits, 1 << (width - 1))
     ptr0 = build_slice(0, split) if split > 0 else None
-    ptr1 = build_slice(split, len(keys)) if split < len(keys) else None
+    ptr1 = build_slice(split, len(items)) if split < len(items) else None
     return records, MerkleValue(ptr0, ptr1)
 
 

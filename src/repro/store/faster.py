@@ -18,7 +18,6 @@ the adversary package mutates these structures directly in tests.
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.core.keys import BitKey
@@ -33,50 +32,46 @@ from repro.store.hybridlog import NULL_ADDRESS, HybridLog, LogDevice, LogRecord
 class KeyDirectory:
     """Sorted directory of data keys, supporting ordered scans.
 
-    FASTER itself is hash-organized; range scans in YCSB-E need key order,
-    so we keep a bisect-maintained sorted list of full-width keys. Inserts
-    are O(n) in the worst case, which is fine at YCSB-E's 5% insert rate.
+    FASTER itself is hash-organized; range scans in YCSB-E need key order.
+    Every directory key has one width, so key order is ``bits`` order: the
+    sorted list holds the ``bits`` ints (bisected at C speed) and a dict
+    maps each back to the key object added. Inserts are O(n) in the worst
+    case, which is fine at YCSB-E's 5% insert rate.
     """
 
     def __init__(self):
-        self._sorted: list[BitKey] = []
-        self._members: set[BitKey] = set()
+        self._sorted: list[int] = []
+        self._keys: dict[int, BitKey] = {}
 
     def add(self, key: BitKey) -> None:
-        if key in self._members:
-            return
-        bisect.insort(self._sorted, key)
-        self._members.add(key)
+        if key.bits not in self._keys:
+            self._keys[key.bits] = key
+            bisect.insort(self._sorted, key.bits)
 
     def extend(self, keys: Iterable[BitKey]) -> None:
-        """Add many keys with one sort (recovery). Every directory key has
-        the same length, so ``bits`` order is ``BitKey`` order."""
-        fresh = set(keys) - self._members
-        self._members |= fresh
-        self._sorted.extend(fresh)
-        assert len({key.length for key in self._sorted}) <= 1
-        self._sorted.sort(key=attrgetter("bits"))
+        """Add many keys with one sort (recovery)."""
+        for key in keys:
+            self._keys.setdefault(key.bits, key)
+        self._sorted = sorted(self._keys)
 
     def remove(self, key: BitKey) -> None:
-        if key not in self._members:
-            return
-        self._members.remove(key)
-        idx = bisect.bisect_left(self._sorted, key)
-        del self._sorted[idx]
+        if key in self:
+            del self._keys[key.bits]
+            del self._sorted[bisect.bisect_left(self._sorted, key.bits)]
 
     def range_from(self, start: BitKey, count: int) -> list[BitKey]:
         """The first ``count`` keys >= ``start`` in key order."""
-        idx = bisect.bisect_left(self._sorted, start)
-        return self._sorted[idx:idx + count]
+        idx = bisect.bisect_left(self._sorted, start.bits)
+        return list(map(self._keys.__getitem__, self._sorted[idx:idx + count]))
 
     def __len__(self) -> int:
         return len(self._sorted)
 
     def __contains__(self, key: BitKey) -> bool:
-        return key in self._members
+        return self._keys.get(key.bits) == key
 
     def keys(self) -> list[BitKey]:
-        return list(self._sorted)
+        return list(map(self._keys.__getitem__, self._sorted))
 
 
 class FasterKV:

@@ -10,7 +10,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Total lines of `src/**/*.py` as of the last PR that touched this file.
-SRC_LINES_CEILING = 18_335
+SRC_LINES_CEILING = 18_334
 #: The files over 850 lines (path under src/repro).
 OVER_850 = {"core/fastver.py", "server/pipeline.py", "faults/chaos.py"}
 
