@@ -517,7 +517,7 @@ def attack_scrub_evasion(c: _Campaign):
     c.close_epoch()  # everything device-resident, merkle-at-rest
     db = c.db
     target = t_address = None
-    for key, address in sorted(db.store.index.snapshot().items(),
+    for key, address in sorted(db.store.index.items(),
                                key=lambda kv: (kv[0].length, kv[0].bits)):
         if (key.length == db.config.key_width
                 and not db.store.log.in_memory(address)

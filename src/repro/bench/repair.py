@@ -47,7 +47,7 @@ def _rot_one_page(server: FastVerServer) -> tuple[int, object]:
     db = server.db
     store = db.store
     device = store.log.device
-    for key, address in sorted(store.index.snapshot().items(),
+    for key, address in sorted(store.index.items(),
                                key=lambda kv: kv[1]):
         if key.length != db.config.key_width:
             continue

@@ -19,7 +19,6 @@ keys of any width up to 256 bits stay cheap.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterator
 
 #: Width of data keys in bits. The paper uses 256 (SHA-256 of client keys);
 #: the algebra works for any width and tests exercise small widths too.
@@ -159,13 +158,6 @@ class BitKey:
         diff = a ^ b
         common = n - diff.bit_length()
         return BitKey(common, a >> (n - common))
-
-    def ancestors(self) -> Iterator["BitKey"]:
-        """All proper ancestors, nearest first, ending with the root."""
-        key = self
-        while not key.is_root:
-            key = key.parent()
-            yield key
 
     # ------------------------------------------------------------------
     # Serialization

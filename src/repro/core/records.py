@@ -51,10 +51,6 @@ class DataValue:
             raise TypeError("DataValue payload must be bytes or None")
         self.payload = payload
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.payload is None
-
     def encode(self) -> bytes:
         if self.payload is None:
             return b"DN"
@@ -120,10 +116,6 @@ class MerkleValue:
             return MerkleValue(self.ptr0, ptr)
         raise ValueError(f"side must be 0 or 1, got {side}")
 
-    @property
-    def is_empty(self) -> bool:
-        return self.ptr0 is None and self.ptr1 is None
-
     def encode(self) -> bytes:
         ptr0, ptr1 = self.ptr0, self.ptr1
         return encode_fields(
@@ -159,8 +151,10 @@ def value_hash(value: Value, counters=None) -> bytes:
     return hash_bytes(encode_value(value), counters=counters)
 
 
-def decode_value(blob: bytes) -> Value:
-    """Inverse of :func:`encode_value` (used by checkpoints and recovery)."""
+def decode_value(blob: bytes,
+                 encodings: dict[bytes, BitKey] | None = None) -> Value:
+    """Inverse of :func:`encode_value` (used by checkpoints and recovery).
+    A pointer key whose encoding is in ``encodings`` is the key found there."""
     if blob.startswith(b"DN"):
         return DataValue(None)
     if blob.startswith(b"DV"):
@@ -176,7 +170,8 @@ def decode_value(blob: bytes) -> Value:
             if not raw:
                 sides.append(None)
                 continue
-            key = BitKey.from_encoded(raw[:-32])
+            key = encodings and encodings.get(raw[:-32])
+            key = key or BitKey.from_encoded(raw[:-32])
             sides.append(Pointer(key, raw[-32:]))
         return MerkleValue(sides[0], sides[1])
     raise ValueError(f"unknown value encoding tag: {blob[:2]!r}")

@@ -282,7 +282,7 @@ class Scrubber:
             record = None
         if record is not None and store.index.lookup(record.key) == address:
             return record.key
-        for key, addr in store.index.snapshot().items():
+        for key, addr in store.index.items():
             if addr == address:
                 return key
         return None
@@ -392,7 +392,7 @@ class Scrubber:
         stale, so reconstructing from its *current* value would produce a
         parent the enclave never authenticated."""
         db = self.db
-        snapshot = db.store.index.snapshot()
+        snapshot = dict(db.store.index.items())
         ptrs: list[Pointer | None] = [None, None]
         for side in (0, 1):
             child = self._closure_child(snapshot, key, side)
@@ -440,7 +440,7 @@ class Scrubber:
     # ------------------------------------------------------------------
     def _walk(self) -> tuple[int, int]:
         store = self.db.store
-        snapshot = store.index.snapshot()
+        snapshot = dict(store.index.items())
         keys = sorted(snapshot, key=lambda k: (k.length, k.bits))
         if not keys:
             return 0, 0

@@ -49,7 +49,9 @@ def _serialize_index(entries: HashIndex | dict[BitKey, int]) -> bytes:
     return b"".join(parts)
 
 
-def _deserialize_index(blob: bytes) -> dict[BitKey, int]:
+def _deserialize_index(blob: bytes, encodings: dict[bytes, BitKey] | None = None
+                       ) -> dict[BitKey, int]:
+    """The blob's entries; ``encodings`` (if given) gets key bytes -> key."""
     if len(blob) < 8:
         raise RecoveryError("truncated index blob")
     count = int.from_bytes(blob[:8], "big")
@@ -61,11 +63,14 @@ def _deserialize_index(blob: bytes) -> dict[BitKey, int]:
             off += 4
             if off + klen > len(blob):
                 raise RecoveryError("index blob ends mid-entry")
-            key = BitKey.from_encoded(blob[off:off + klen])
+            encoded = blob[off:off + klen]
+            key = BitKey.from_encoded(encoded)
             off += klen
             address = int.from_bytes(blob[off:off + 8], "big", signed=True)
             off += 8
             entries[key] = address
+            if encodings is not None:
+                encodings[encoded] = key
     except RecoveryError:
         raise
     except Exception as exc:
@@ -75,6 +80,9 @@ def _deserialize_index(blob: bytes) -> dict[BitKey, int]:
         raise RecoveryError(f"undecodable index blob: {exc}") from exc
     if off != len(blob):
         raise RecoveryError("trailing bytes in index blob")
+    if len(entries) != count:
+        raise RecoveryError(
+            f"index blob repeats a key: {count} entries, {len(entries)} keys")
     return entries
 
 
@@ -151,7 +159,10 @@ def recover(token: CheckpointToken, device: LogDevice,
     and its aux word, ``None`` for a tombstone.
     """
     store = FasterKV(ordered_width=token.ordered_width, device=device)
-    entries = _deserialize_index(token.index_blob)
+    # Page and Merkle pointer keys are index keys in the blob's bytes: this
+    # call's table of them (bytes and keys only) leaves only misses to decode.
+    encodings: dict[bytes, BitKey] = {}
+    entries = _deserialize_index(token.index_blob, encodings)
     store.index.restore(entries)
     store.log._next_address = token.tail_address
     store.log.head_address = token.tail_address
@@ -162,7 +173,7 @@ def recover(token: CheckpointToken, device: LogDevice,
             raise RecoveryError(f"log page {address} missing from device")
         try:
             page = store.log.fetch(address)
-            record = store.log.decode(address, page, key)
+            record = store.log.decode(address, page, encodings)
         except AvailabilityError:
             raise  # transient; the caller's bounded retry handles it
         except Exception as exc:

@@ -53,9 +53,5 @@ class HashIndex:
     def items(self) -> Iterator[tuple[BitKey, int]]:
         return iter(self._entries.items())
 
-    def snapshot(self) -> dict[BitKey, int]:
-        """A shallow copy of the mapping (used by CPR checkpoints)."""
-        return dict(self._entries)
-
     def restore(self, entries: dict[BitKey, int]) -> None:
         self._entries = dict(entries)

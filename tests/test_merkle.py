@@ -53,7 +53,7 @@ class TestBuildTree:
     def test_empty(self):
         merkle, root = build_tree([])
         assert merkle == {}
-        assert root.is_empty
+        assert root == MerkleValue()
 
     def test_single_key(self):
         items = [(dk(5), DataValue(b"v"))]

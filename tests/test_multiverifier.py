@@ -8,7 +8,7 @@ import pytest
 from repro.core.keys import BitKey
 from repro.core.multiverifier import VerifierGroup
 from repro.core.protocol import Client, EpochReceipt, OpReceipt
-from repro.core.records import DataValue
+from repro.core.records import DataValue, MerkleValue
 from repro.crypto.mac import MacKey
 from repro.enclave.sealed import SealedSlot
 from repro.errors import (
@@ -67,7 +67,7 @@ class TestBulkLoad:
     def test_start_empty(self):
         g = VerifierGroup(SealedSlot(), n_threads=1, cache_capacity=8)
         root_value = g.start_empty()
-        assert root_value.is_empty
+        assert root_value == MerkleValue()
         with pytest.raises(ProtocolError):
             g.start_empty()
 

@@ -30,10 +30,11 @@ def bk(s):
 class TestDataValue:
     def test_payload(self):
         assert DataValue(b"x").payload == b"x"
-        assert not DataValue(b"x").is_tombstone
+        assert DataValue(b"x").encode() == b"DVx"
 
     def test_tombstone(self):
-        assert DataValue(None).is_tombstone
+        assert DataValue(None).payload is None
+        assert DataValue(None).encode() == b"DN"
 
     def test_type_check(self):
         with pytest.raises(TypeError):
@@ -50,8 +51,9 @@ class TestDataValue:
 
 class TestMerkleValue:
     def test_empty(self):
-        assert MerkleValue().is_empty
+        assert MerkleValue() == MerkleValue(None, None)
         assert MerkleValue().pointer(0) is None
+        assert MerkleValue().pointer(1) is None
 
     def test_with_pointer_immutability(self):
         ptr = Pointer(bk("01"), b"\x01" * 32)

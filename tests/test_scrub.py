@@ -49,7 +49,7 @@ def merkle_at_rest(db):
     store = db.store
     device = store.log.device
     out = []
-    for key, address in sorted(store.index.snapshot().items(),
+    for key, address in sorted(store.index.items(),
                                key=lambda kv: kv[1]):
         if key.length != db.config.key_width:
             continue
@@ -170,7 +170,7 @@ class TestDetectionAndRepair:
         own cache (shadowed by the host mirror) is the authority."""
         db, _ = scrub_db()
         store = db.store
-        snapshot = store.index.snapshot()
+        snapshot = dict(store.index.items())
         victim = None
         for key in sorted(db.cached_where, key=lambda k: (k.length, k.bits)):
             address = snapshot.get(key)

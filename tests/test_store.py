@@ -213,11 +213,16 @@ class TestHybridLog:
             LogRecord.deserialize(damage(blob))
 
     def test_deserialize_shares_the_expected_key(self):
-        key = dk(9)
+        key, child = dk(9), dk(3)
         blob = LogRecord(dk(9), DataValue(b"v"), 0).serialize()
-        assert LogRecord.deserialize(blob, key).key is key
-        other = LogRecord.deserialize(blob, dk(8)).key
+        encodings = {key.to_bytes(): key, child.to_bytes(): child}
+        assert LogRecord.deserialize(blob, encodings).key is key
+        other = LogRecord.deserialize(blob, {dk(8).to_bytes(): dk(8)}).key
         assert other == key and other is not key
+        merkle = LogRecord(BitKey.from_bits_string("0"), MerkleValue(
+            Pointer(dk(3), b"\x11" * 32), Pointer(dk(9), b"\x22" * 32)), 0)
+        value = LogRecord.deserialize(merkle.serialize(), encodings).value
+        assert value.ptr0.key is child and value.ptr1.key is key
 
     def test_device_missing_address(self):
         device = LogDevice()
@@ -460,7 +465,7 @@ class TestHashIndex:
     def test_snapshot_restore(self):
         idx = HashIndex()
         idx.try_update(dk(1), NULL_ADDRESS, 5)
-        snap = idx.snapshot()
+        snap = dict(idx.items())
         idx.try_update(dk(1), 5, 7)
         idx.restore(snap)
         assert idx.lookup(dk(1)) == 5
