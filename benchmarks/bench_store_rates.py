@@ -16,7 +16,9 @@ per entry (both scans read every page; how many they decode is the count);
 ns per entry of that checkpoint's index parse as recovery runs it (filling
 the table of key encodings), and the ``BitKey`` instances one recovery
 builds per entry (the parse builds one; page and pointer keys come from
-the table). Last, the bulk load: ns per record of
+the table), and ns per entry of ``salvage()`` over that store's device
+(the log scan the recovery ladder falls back to when the checkpoint is
+unusable). Last, the bulk load: ns per record of
 ``FastVer(config, items=...)`` on ``COLD_RECORDS`` records, and ns per
 ``KeyDirectory.add`` of keys in the ascending order that load hands the
 scan directory.
@@ -44,6 +46,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.faster import FasterKV, KeyDirectory
 from repro.store.hybridlog import PAGE_CACHE_SLOTS, HybridLog, LogRecord
+from repro.store.recovery import salvage
 
 CALLS = 20_000
 ROUNDS = 5
@@ -223,6 +226,10 @@ def run_rates() -> dict:
             lambda: None, lambda _: _deserialize_index(cold_blob, {}),
             recover_entries),
         "recover_keys_built_per_record": keys_built,
+        "salvage_per_record": fastest_ns(
+            lambda: db.store.log,
+            lambda log: salvage(log.device, log.tail_address, KEY_WIDTH),
+            recover_entries),
         "bulk_load_records": COLD_RECORDS,
         "bulk_load_per_record": fastest_ns(
             lambda: None, lambda _: FastVer(COLD_CONFIG, items=COLD_ITEMS),

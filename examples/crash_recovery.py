@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Durability demo (§7): epoch-synchronized checkpoints, crash recovery,
 the rollback attack the sealed slot defeats, a surprise enclave reboot in
-the middle of an epoch, and lenient log-scan salvage of a damaged device.
+the middle of an epoch, and log-scan salvage of a damaged device.
 
 Run:  python examples/crash_recovery.py
 """
 
 from repro import FastVer, FastVerConfig, new_client
-from repro.errors import EnclaveRebootError, RecoveryError, RollbackError
+from repro.errors import EnclaveRebootError, RollbackError
 from repro.faults import FaultPlan, install_faults
-from repro.store.recovery import rebuild_index_from_log
+from repro.store.recovery import salvage
 
 
 def main() -> None:
@@ -76,24 +76,19 @@ def main() -> None:
     print("reboot-mid-epoch recovered: get(2) -> %r (settled epoch %d)"
           % (db.get(client, 2).payload, client.settled_epoch))
 
-    # --- a damaged device page and lenient salvage --------------------------
+    # --- a damaged device page and log-scan salvage -------------------------
     print("\n[damage] one log page rots on the untrusted device")
     device = db.store.log.device
     tail = db.store.log.tail_address
     db.store.log.flush_until(tail)
+    current = dict(db.items_snapshot())
     victim = sorted(a for a in range(tail) if a in device)[len(device) // 2]
     device._pages[victim] = b"\x00bitrot"
-    try:
-        rebuild_index_from_log(device, tail,
-                               ordered_width=db.config.key_width)
-        print("!! strict rebuild accepted a rotten page")
-    except RecoveryError as exc:
-        print("[strict]  rebuild refused:", exc)
-    salvaged = rebuild_index_from_log(device, tail,
-                                      ordered_width=db.config.key_width,
-                                      strict=False)
-    print("[lenient] rebuild quarantined page(s) %r and salvaged %d records"
-          % (salvaged.quarantined_addresses, len(salvaged)))
+    survivors = dict(salvage(device, tail, db.config.key_width))
+    latest = sum(current.get(k) == payload for k, payload in survivors.items())
+    print("[salvage] skipped the rotten page %d and kept %d records, %d of %d "
+          "at their latest value" % (victim, len(survivors), latest,
+                                     len(current)))
 
 
 if __name__ == "__main__":

@@ -2,13 +2,10 @@
 
 from repro.baselines.deferred_only import DeferredProgram, DeferredStore
 from repro.baselines.merkle_only import CachedMerkleStore, plain_merkle_store
-from repro.baselines.trusted_db import TrustedDbProgram, TrustedDbStore
 
 __all__ = [
     "DeferredProgram",
     "DeferredStore",
     "CachedMerkleStore",
     "plain_merkle_store",
-    "TrustedDbProgram",
-    "TrustedDbStore",
 ]

@@ -6,7 +6,6 @@ from repro.bench.harness import (
     op_count,
     print_table,
     run_baseline,
-    run_fastver,
     scale_factor,
     scaled,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "op_count",
     "print_table",
     "run_baseline",
-    "run_fastver",
     "scale_factor",
     "scaled",
 ]

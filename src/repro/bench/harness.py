@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro import FastVer, FastVerConfig, new_client
 from repro.baselines import CachedMerkleStore, DeferredStore, plain_merkle_store
-from repro.enclave.costmodel import SGX, SIMULATED, EnclaveCostProfile
+from repro.enclave.costmodel import SIMULATED, EnclaveCostProfile
 from repro.instrument import COUNTERS
 from repro.sim.executor import RunResult, SimulatedExecutor
 from repro.workloads.ycsb import WorkloadSpec, YcsbGenerator
@@ -114,25 +114,6 @@ def sweep_fastver(spec: WorkloadSpec, scaled_records: int, paper_records: int,
         result = executor.run(generator, batch, verify_every=batch)
         out.append((batch, result))
     return out
-
-
-def run_fastver(spec: WorkloadSpec, scaled_records: int, paper_records: int,
-                n_workers: int, verify_every: int | None,
-                partition_depth: int = 4, distribution: str = "zipfian",
-                theta: float = 0.9, ops: int | None = None,
-                profile: EnclaveCostProfile = SIMULATED,
-                seed: int = 0) -> RunResult:
-    """Load FastVer, run a workload phaseed with verifications, measure."""
-    COUNTERS.reset()
-    db, client = make_fastver(scaled_records, n_workers=n_workers,
-                              partition_depth=partition_depth,
-                              profile=profile)
-    generator = YcsbGenerator(spec, scaled_records, distribution=distribution,
-                              theta=theta, seed=seed)
-    executor = SimulatedExecutor(db, client, n_workers, paper_records,
-                                 profile=profile)
-    count = ops if ops is not None else op_count(scaled_records)
-    return executor.run(generator, count, verify_every=verify_every)
 
 
 def run_faster_baseline(spec: WorkloadSpec, scaled_records: int,

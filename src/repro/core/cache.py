@@ -43,10 +43,6 @@ class VerifierCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
     def get(self, key: BitKey) -> CacheEntry:
         entry = self._entries.get(key)
         if entry is None:

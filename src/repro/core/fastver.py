@@ -1557,6 +1557,3 @@ class FastVer:
         """Records currently protected by deferred verification — the
         quantity verification latency is linear in (§5.4)."""
         return len(self.deferred_index)
-
-    def verified_epoch(self) -> int:
-        return self._ecall("verified_epoch")

@@ -128,12 +128,6 @@ class BitKey:
     # ------------------------------------------------------------------
     # Tree relationships
     # ------------------------------------------------------------------
-    def is_ancestor_of(self, other: "BitKey") -> bool:
-        """True iff ``self`` is a (non-strict) prefix of ``other``."""
-        if self.length > other.length:
-            return False
-        return (other.bits >> (other.length - self.length)) == self.bits
-
     def is_proper_ancestor_of(self, other: "BitKey") -> bool:
         """True iff ``self`` is a strict prefix of ``other``."""
         shift = other.length - self.length

@@ -25,7 +25,6 @@ from typing import Any
 from repro.core.epochs import EpochController
 from repro.core.keys import BitKey
 from repro.core.protocol import (
-    EPOCH,
     GET,
     GET_ABSENT,
     LEASE,
@@ -413,9 +412,6 @@ class VerifierGroup:
     # -- host-visible (non-confidential) status ---------------------------
     def current_epoch(self) -> int:
         return self.epochs.current
-
-    def verified_epoch(self) -> int:
-        return self.epochs.verified
 
     def clocks(self) -> list[int]:
         """Per-thread clocks — protected state, but not confidential (§5.3):

@@ -65,13 +65,6 @@ class MultisetHasher:
         """Add an element given as a tuple of byte fields (canonical form)."""
         self.insert(encode_fields(*fields))
 
-    def combine(self, other_value: int) -> None:
-        """Fold another accumulator's value into this one (aggregation)."""
-        if self.combiner == "add":
-            self.value = (self.value + other_value) & _MASK
-        else:
-            self.value ^= other_value
-
     def reset(self) -> None:
         self.value = EMPTY_HASH
 

@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.adversary.host import tamper_value
-from repro.core.fastver import FastVer, data_items
+from repro.core.fastver import FastVer
 from repro.errors import (
     AvailabilityError,
     IntegrityError,
@@ -42,7 +42,7 @@ from repro.obs import reset as obs_reset
 from repro.obs.sink import TraceSpool, replay_fidelity
 from repro.obs.slo import SloConfig
 from repro.scrub import Scrubber
-from repro.store.recovery import rebuild_index_from_log
+from repro.store.recovery import salvage
 from repro.topology import Topology, build
 from repro.workloads.ycsb import OP_GET, OP_PUT, WORKLOADS, YcsbGenerator
 
@@ -446,15 +446,11 @@ class _ChaosRun:
         self._salvage()
 
     def _salvage(self) -> None:
-        """The checkpoint is unusable: lenient-rebuild the log, vet the
-        survivors against the oracle, and re-provision over them."""
-        device = self.db.store.log.device
-        device.faults = None  # the salvage read pass itself runs clean
-        width = self.db.config.key_width
-        salvaged = rebuild_index_from_log(
-            device, self.db.store.log.tail_address,
-            ordered_width=width, strict=False)
-        survivors = self._vet_survivors(data_items(salvaged, width))
+        """The checkpoint is unusable: salvage the log, vet the survivors
+        against the oracle, and re-provision over them."""
+        log = self.db.store.log
+        survivors = self._vet_survivors(
+            salvage(log.device, log.tail_address, self.db.config.key_width))
         self._unsettled_serves.clear()
         self._provision(survivors)
 

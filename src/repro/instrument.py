@@ -187,11 +187,6 @@ class Counters:
                 setattr(self, f.name,
                         getattr(self, f.name) + getattr(other, f.name))
 
-    @classmethod
-    def merge_mode(cls, name: str) -> str:
-        """``"max"`` for gauge fields, ``"sum"`` otherwise."""
-        return "max" if name in cls._MAX_MERGE else "sum"
-
     def group_dict(self, group: str) -> dict[str, int]:
         """The fields tagged with an export ``group``, as a dict — the
         single source for grouped exports like ``RunMetrics.replication``."""

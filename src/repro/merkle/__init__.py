@@ -1,7 +1,5 @@
-"""Sparse Merkle trees encoded as records, plus the classic dense baseline."""
+"""Sparse Merkle trees encoded as records."""
 
-from repro.merkle.plain import PlainMerkleStore, PlainMerkleTree, PlainMerkleVerifier
-from repro.merkle.proofs import PathProof, generate_proof, verify_proof
 from repro.merkle.sparse import (
     ABSENT_NULL,
     ABSENT_SPLIT,
@@ -15,12 +13,6 @@ from repro.merkle.sparse import (
 )
 
 __all__ = [
-    "PlainMerkleStore",
-    "PlainMerkleTree",
-    "PlainMerkleVerifier",
-    "PathProof",
-    "generate_proof",
-    "verify_proof",
     "ABSENT_NULL",
     "ABSENT_SPLIT",
     "FOUND",

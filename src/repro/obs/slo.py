@@ -240,12 +240,6 @@ class SloEngine:
         return {name for name, obj in self._objectives.items()
                 if obj.state != OK}
 
-    def advisory(self) -> dict:
-        """Compact advisory for consumers and ``health()``."""
-        return {"firing": sorted(self.firing()),
-                "alerts": self.alerts,
-                "epochs": self.epochs}
-
     def snapshot(self) -> dict:
         """Full export for metrics payloads and ``slo-report``."""
         return {

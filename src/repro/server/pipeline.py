@@ -27,10 +27,10 @@ deadlines, breaker cooldowns, and retry pacing real meaning.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.backoff import BackoffPolicy
-from repro.core.fastver import FastVer, data_items
+from repro.core.fastver import FastVer
 from repro.core.protocol import GetRequest, PutRequest
 from repro.errors import (
     AvailabilityError,
@@ -47,9 +47,9 @@ from repro.errors import (
 from repro.instrument import COUNTERS
 from repro.obs import LATENCIES, TRACER
 from repro.obs.slo import SloConfig, SloEngine
-from repro.server.breaker import OPEN, CircuitBreaker
+from repro.server.breaker import CircuitBreaker
 from repro.server.supervisor import Supervisor
-from repro.store.recovery import rebuild_index_from_log
+from repro.store.recovery import salvage
 
 #: Simulated service time charged per processed request (ticks).
 TIME_PER_REQUEST = 1.0
@@ -999,18 +999,13 @@ class FastVerServer:
     # Salvage (the recovery ladder's last rung)
     # ------------------------------------------------------------------
     def _salvage(self) -> None:
-        """The checkpoint is unusable: lenient-rebuild from the log,
-        re-provision a fresh database over the survivors, re-register the
-        same clients (their keys and nonce counters carry over), and
-        rebase every serving-layer cache on the salvaged state."""
+        """The checkpoint is unusable: salvage the log, re-provision a fresh
+        database over the survivors, re-register the same clients (their
+        keys and nonce counters carry over), and rebase every serving-layer
+        cache on the salvaged state."""
         old_db = self.db
-        device = old_db.store.log.device
-        device.faults = None  # the salvage read pass itself runs clean
-        width = old_db.config.key_width
-        salvaged = rebuild_index_from_log(
-            device, old_db.store.log.tail_address,
-            ordered_width=width, strict=False)
-        items = data_items(salvaged, width)
+        log = old_db.store.log
+        items = salvage(log.device, log.tail_address, old_db.config.key_width)
         if self.salvage_hook is not None:
             items = self.salvage_hook(items)
         new_db = FastVer(old_db.config, items=items)
@@ -1291,10 +1286,3 @@ class FastVerServer:
                 "lease_valid": self.replication.lease_valid(),
             },
         }
-
-    def ready(self) -> bool:
-        """Readiness probe: should a load balancer route new work here?"""
-        probe = self.db.enclave.probe()
-        return (not self.degraded and self.breaker.state != OPEN
-                and probe["alive"] and probe["loaded"]
-                and len(self.queue) < self.config.queue_capacity)

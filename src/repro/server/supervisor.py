@@ -74,8 +74,6 @@ class Supervisor:
         self.salvages = 0
         #: Heal sessions resolved by promoting the warm standby.
         self.failovers = 0
-        #: Individual heal attempts that failed (stall or recover error).
-        self.failed_attempts = 0
         #: Simulated ticks the latest successful heal session cost.
         self.last_recovery_ticks = 0.0
         #: Which rung resolved the latest successful heal attempt.
@@ -111,13 +109,11 @@ class Supervisor:
             self.policy.sleep(0.0 if urgent and attempt == 0 else delay)
             if server.faults is not None and \
                     server.faults.fire("server.supervisor.stall"):
-                self.failed_attempts += 1
                 continue
             if not self._heal_once():
                 continue
             self.note_reboots()
             if not server._replay_degraded_writes():
-                self.failed_attempts += 1
                 continue
             self.heals += 1
             COUNTERS.recovered += 1
@@ -168,7 +164,6 @@ class Supervisor:
             try:
                 drained = repl.promote()
             except AvailabilityError:
-                self.failed_attempts += 1
                 return False
             self.failovers += 1
             self._last_rung = "failover"
@@ -200,7 +195,6 @@ class Supervisor:
                     f"salvage failed ({exc}); no promotable standby; "
                     f"fault seed={seed} trace={trace}") from exc
             except AvailabilityError:
-                self.failed_attempts += 1
                 return False
             self.salvages += 1
             self._last_rung = "salvage"
@@ -208,7 +202,6 @@ class Supervisor:
                 SALVAGE_BASE_TICKS
                 + len(server.db.store) * SALVAGE_TICK_PER_RECORD)
         except AvailabilityError:
-            self.failed_attempts += 1
             return False
         else:
             # Checkpoint recovery rolled the database back to its last

@@ -2,51 +2,21 @@
 
 FastVer's worker loop hinges on atomically swapping a record's value and
 64-bit aux word together: for 8-byte values this is a hardware 128-bit CAS;
-for larger values FASTER-style short-lived record mutexes are used. In
-CPython all our "threads" are logical (the simulated executor interleaves
-them), so the primitive is trivially atomic — but we keep the CAS *shape*:
-
-* callers pass the expected (value, aux) pair and the update is refused if
-  the record has moved on, so the speculative-update-then-log protocol of
-  §5.3 (Example 5.2) is exercised for real;
-* a pluggable :class:`ContentionInjector` can force spurious failures with
-  a configured probability, which the contention model uses to reproduce
-  retry behaviour under skewed workloads.
+for larger values FASTER-style short-lived record mutexes are used. The
+store is single-threaded, so the primitive is trivially atomic — but we
+keep the CAS *shape*: callers pass the expected (value, aux) pair and the
+update is refused if the record has moved on, so the
+speculative-update-then-log protocol of §5.3 (Example 5.2) is exercised
+for real.
 """
 
 from __future__ import annotations
 
-import random
-
 from repro.instrument import COUNTERS
 
 
-class ContentionInjector:
-    """Injects CAS failures to model inter-thread contention.
-
-    ``failure_probability`` is typically derived by the executor from the
-    workload's key-collision rate (two workers touching one key.)
-    """
-
-    def __init__(self, failure_probability: float = 0.0, seed: int = 0):
-        if not 0.0 <= failure_probability < 1.0:
-            raise ValueError("failure probability must be in [0, 1)")
-        self.failure_probability = failure_probability
-        self._rng = random.Random(seed)
-
-    def should_fail(self) -> bool:
-        if self.failure_probability == 0.0:
-            return False
-        return self._rng.random() < self.failure_probability
-
-
-#: Default injector: no artificial contention.
-NO_CONTENTION = ContentionInjector(0.0)
-
-
 def compare_and_swap_pair(record, expected_value, expected_aux: int,
-                          new_value, new_aux: int,
-                          injector: ContentionInjector = NO_CONTENTION) -> bool:
+                          new_value, new_aux: int) -> bool:
     """Atomically install (new_value, new_aux) iff the record still holds
     (expected_value, expected_aux). Returns success.
 
@@ -54,9 +24,6 @@ def compare_and_swap_pair(record, expected_value, expected_aux: int,
     :class:`~repro.store.hybridlog.LogRecord`).
     """
     COUNTERS.cas_attempts += 1
-    if injector.should_fail():
-        COUNTERS.cas_failures += 1
-        return False
     if record.value != expected_value or record.aux != expected_aux:
         COUNTERS.cas_failures += 1
         return False

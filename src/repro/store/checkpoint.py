@@ -118,10 +118,8 @@ def take_checkpoint(store: FasterKV, version: int,
             blob = blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
     token = CheckpointToken(version, store.log.tail_address, blob,
                             store.ordered_width)
-    # A successful checkpoint supersedes whatever lenient salvage produced
-    # this store: recovery now goes through this token, never back through
-    # the quarantined pages, so the quarantine list would only mislead a
-    # later strict-rebuild audit into reporting long-healed damage.
+    # The quarantine list is the scrubber's: a checkpoint empties it, and a
+    # page still damaged is found again by the scrubber's next walk.
     store.quarantined_addresses = []
     return token
 

@@ -1,8 +1,7 @@
 """FasterKV: the FASTER-style host key-value store (§7 substrate).
 
 This is the untrusted host database of Figure 1. It composes the hash
-index, hybrid-log allocator, and epoch-protection framework into the API
-FastVer builds on:
+index and the hybrid-log allocator into the API FastVer builds on:
 
 * ``read`` / ``upsert`` / ``rmw`` / ``delete`` — point operations that keep
   per-record (value, aux) pairs and update them in place in the mutable
@@ -24,7 +23,6 @@ from repro.core.keys import BitKey
 from repro.core.records import Value
 from repro.instrument import COUNTERS
 from repro.store.atomic import compare_and_swap_pair
-from repro.store.epoch_protection import LightEpoch
 from repro.store.hashindex import HashIndex
 from repro.store.hybridlog import NULL_ADDRESS, HybridLog, LogDevice, LogRecord
 
@@ -90,11 +88,10 @@ class FasterKV:
         self.log = HybridLog(mutable_fraction=mutable_fraction,
                              memory_budget_records=memory_budget_records,
                              device=device)
-        self.epochs = LightEpoch()
         self.directory = KeyDirectory()
         self.ordered_width = ordered_width
-        # Device addresses skipped by a lenient log-scan rebuild (see
-        # repro.store.recovery); empty on any store built the normal way.
+        # Device addresses the scrubber has quarantined (repro.scrub) and
+        # not yet repaired; a checkpoint clears them.
         self.quarantined_addresses: list[int] = []
 
     # ------------------------------------------------------------------

@@ -106,15 +106,6 @@ class YcsbGenerator:
                 self._next_insert += 1
                 yield (OP_INSERT, key, self._value(key))
 
-    def key_operations(self, count: int) -> int:
-        """Expected per-key operations for ``count`` stream entries (§8.1:
-        a scan of length L counts as ~L key operations)."""
-        spec = self.spec
-        per_entry = (spec.get_fraction + spec.put_fraction
-                     + spec.insert_fraction
-                     + spec.scan_fraction * spec.scan_length)
-        return int(count * per_entry)
-
 
 def run_workload(db, client, generator: YcsbGenerator, count: int,
                  n_workers: int = 1) -> int:

@@ -7,9 +7,8 @@ import pytest
 from repro import new_client
 from repro.baselines.deferred_only import DeferredStore
 from repro.baselines.merkle_only import CachedMerkleStore, plain_merkle_store
-from repro.baselines.trusted_db import TrustedDbStore
 from repro.core.records import DataValue
-from repro.errors import CapacityError, IntegrityError, SignatureError
+from repro.errors import IntegrityError, SignatureError
 from repro.instrument import COUNTERS
 
 ITEMS = [(k, b"v%d" % k) for k in range(64)]
@@ -192,38 +191,3 @@ class TestDeferredStore:
         db.verify()
         db.flush()
         assert COUNTERS.merkle_hashes == before
-
-
-class TestTrustedDb:
-    def test_ops(self):
-        db = TrustedDbStore(ITEMS, key_width=16)
-        client = new_client(1)
-        db.register_client(client)
-        assert db.get(client, 5) == b"v5"
-        db.put(client, 5, b"new")
-        assert db.get(client, 5) == b"new"
-        assert db.get(client, 999) is None
-
-    def test_memory_bound_p1_failure(self):
-        """§3: the trusted DB fails performance goal P1 — a database that
-        outgrows enclave memory simply cannot load."""
-        with pytest.raises(CapacityError):
-            TrustedDbStore([(k, b"x") for k in range(2_000_000)],
-                           key_width=32)
-
-    def test_every_op_crosses_the_enclave(self):
-        db = TrustedDbStore(ITEMS, key_width=16)
-        client = new_client(1)
-        db.register_client(client)
-        before = COUNTERS.enclave_entries
-        for i in range(10):
-            db.get(client, i)
-        assert COUNTERS.enclave_entries - before == 10
-
-    def test_forged_put_rejected(self):
-        db = TrustedDbStore(ITEMS, key_width=16)
-        client = new_client(1)
-        db.register_client(client)
-        with pytest.raises(SignatureError):
-            db.enclave.ecall("put", client.client_id, db.data_key(5),
-                             b"EVIL", client.next_nonce(), b"\x00" * 32)

@@ -66,7 +66,7 @@ class TestVerifierCache:
         cache = VerifierCache(2)
         cache.add(dk(1), DataValue(b"a"))
         cache.add(dk(2), DataValue(b"b"))
-        assert cache.is_full
+        assert len(cache) == cache.capacity
         with pytest.raises(CapacityError):
             cache.add(dk(3), DataValue(b"c"))
 

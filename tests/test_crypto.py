@@ -133,19 +133,6 @@ class TestMultisetHash:
         twice.insert(b"x")
         assert twice.value == EMPTY_HASH
 
-    def test_combine_matches_union(self, prf):
-        left = MultisetHasher(prf)
-        right = MultisetHasher(prf)
-        union = MultisetHasher(prf)
-        for x in (b"a", b"b"):
-            left.insert(x)
-            union.insert(x)
-        for x in (b"c", b"d"):
-            right.insert(x)
-            union.insert(x)
-        left.combine(right.value)
-        assert left.value == union.value
-
     def test_aggregate_matches_pairwise(self, prf):
         hashers = [MultisetHasher(prf) for _ in range(4)]
         total = MultisetHasher(prf)

@@ -14,7 +14,7 @@ from repro.errors import ProtocolError, RecoveryError
 from repro.instrument import COUNTERS
 from repro.sim.tuning import LatencyTuner, run_with_budget
 from repro.store.faster import FasterKV
-from repro.store.recovery import rebuild_index_from_log
+from repro.store.recovery import salvage
 from repro.workloads.ycsb import YCSB_A, YcsbGenerator
 from tests.conftest import small_fastver
 
@@ -73,41 +73,28 @@ class TestLogScanRecovery:
         store.delete(BitKey.data_key(5, 16))
         return store
 
+    def _expected(self):
+        """What :meth:`_store` holds: key 5 deleted, 0-9 overwritten."""
+        return [(i, b"new%d" % i if i < 10 else b"v%d" % i)
+                for i in range(30) if i != 5]
+
     def test_rebuild_matches_original(self):
         store = self._store()
         store.log.flush_until(store.log.tail_address)
-        rebuilt = rebuild_index_from_log(store.log.device,
-                                         store.log.tail_address,
-                                         ordered_width=16)
-        for i in range(30):
-            key = BitKey.data_key(i, 16)
-            assert (rebuilt.read(key) is None) == (store.read(key) is None)
-            if store.read(key) is not None:
-                assert rebuilt.read(key)[0] == store.read(key)[0]
-        assert rebuilt.directory.keys() == store.directory.keys()
+        assert salvage(store.log.device, store.log.tail_address,
+                       16) == self._expected()
 
     def test_missing_pages_lose_data_quietly(self):
         store = self._store()
         store.log.flush_until(store.log.tail_address)
         victim = store.index.lookup(BitKey.data_key(20, 16))
         del store.log.device._pages[victim]
-        rebuilt = rebuild_index_from_log(store.log.device,
-                                         store.log.tail_address,
-                                         ordered_width=16)
-        assert rebuilt.read(BitKey.data_key(20, 16)) is None
-        assert rebuilt.read(BitKey.data_key(21, 16)) is not None
-
-    def test_corrupt_page_raises(self):
-        store = self._store()
-        store.log.flush_until(store.log.tail_address)
-        victim = store.index.lookup(BitKey.data_key(20, 16))
-        store.log.device._pages[victim] = b"garbage"
-        with pytest.raises(RecoveryError):
-            rebuild_index_from_log(store.log.device, store.log.tail_address)
+        assert salvage(store.log.device, store.log.tail_address, 16) == [
+            item for item in self._expected() if item[0] != 20]
 
     def test_negative_tail_rejected(self):
         with pytest.raises(RecoveryError):
-            rebuild_index_from_log(FasterKV().log.device, -1)
+            salvage(FasterKV().log.device, -1, 16)
 
 
 class TestAudit:

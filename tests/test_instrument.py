@@ -87,8 +87,6 @@ def test_max_merge_set_derived_from_metadata():
                      if f.metadata.get("merge") == "max"}
     assert Counters._MAX_MERGE == from_metadata
     assert "replication_lag_max" in Counters._MAX_MERGE
-    assert Counters.merge_mode("replication_lag_max") == "max"
-    assert Counters.merge_mode("ops") == "sum"
 
 
 def test_group_dict_matches_metadata():

@@ -167,7 +167,7 @@ class TestEpochClose:
         receipts = group.finish_epoch_close(closing)
         assert client.client_id in receipts
         client.accept_epoch(receipts[client.client_id])
-        assert group.verified_epoch() == 0
+        assert group.epochs.verified == 0
 
     def test_unmigrated_record_fails_close(self, group, client):
         TestBatchDispatch._cache_record(group, dk(1))
@@ -190,7 +190,7 @@ class TestEpochClose:
             ("evict_deferred", (dk(1),)),
         ])
         group.finish_epoch_close(closing)
-        assert group.verified_epoch() == 0
+        assert group.epochs.verified == 0
 
 
 class TestCheckpointRestore:
@@ -235,7 +235,7 @@ class TestCheckpointRestore:
             ("evict_deferred", (dk(1),)),
         ])
         g2.finish_epoch_close(closing)
-        assert g2.verified_epoch() == 0
+        assert g2.epochs.verified == 0
 
     def test_rollback_to_old_checkpoint_detected(self, group, client):
         self._run_some_ops(group, client)

@@ -378,6 +378,20 @@ class TestRepairLifecycle:
         assert scrub.ledger.outcomes().get("superseded") == 1
         assert scrub.repairs_done == 0
 
+    def test_checkpoint_clears_quarantine(self):
+        """A checkpoint empties the quarantine list; damage still on the
+        device is found again by the next walk."""
+        db, _ = scrub_db()
+        address, _key = merkle_at_rest(db)[0]
+        smash(db, address)
+        scrub = Scrubber(db, budget_pages=256)
+        scrub.pump()  # quarantine, no candidate to repair from
+        assert db.store.quarantined_addresses == [address]
+        db.checkpoint()
+        assert db.store.quarantined_addresses == []
+        scrub.scrub_to_convergence()
+        assert db.store.quarantined_addresses == [address]
+
     def test_quarantine_gauge_is_a_high_water_mark(self):
         db, _ = scrub_db()
         payloads, fn = workload_model(60)

@@ -186,12 +186,11 @@ class TestAdmissionAndDeadlines:
 
     def test_health_and_ready_probes(self):
         db, client, server = server_setup()
-        assert server.ready()
         health = server.health()
         assert health["mode"] == "normal"
         assert health["enclave"]["alive"] and health["enclave"]["loaded"]
         db.enclave.teardown()
-        assert not server.ready()
+        assert not server.health()["enclave"]["alive"]
 
 
 class TestIdempotentRetry:
@@ -268,7 +267,6 @@ class TestBreakerInPipeline:
         with pytest.raises(CircuitOpenError):
             # A key outside the cache cannot be served while open.
             server.handle(envelope(server, client, "get", 10_000))
-        assert not server.ready()
 
     def test_cooldown_probe_closes_breaker(self):
         db, client, server = server_setup({"server.breaker.trip": [0]},

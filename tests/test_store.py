@@ -1,4 +1,4 @@
-"""Tests for the FASTER-style store substrate: log, index, epochs, CAS."""
+"""Tests for the FASTER-style store substrate: log, index, CAS."""
 
 from __future__ import annotations
 
@@ -14,16 +14,14 @@ from repro.core.keys import BitKey
 from repro.core.records import DataValue, MerkleValue, Pointer
 from repro.errors import (
     CorruptPageError,
-    ProtocolError,
     ReproError,
     StoreError,
     TransientIOError,
 )
 from repro.faults import FaultPlan
 from repro.instrument import COUNTERS
-from repro.store.atomic import ContentionInjector, compare_and_swap_pair
+from repro.store.atomic import compare_and_swap_pair
 from repro.store.checkpoint import recover, take_checkpoint
-from repro.store.epoch_protection import UNPROTECTED, LightEpoch
 from repro.store.faster import FasterKV, KeyDirectory
 from repro.store import hybridlog
 from repro.store.hashindex import HashIndex
@@ -39,78 +37,6 @@ from tests.conftest import fresh_copy
 
 def dk(i, width=16):
     return BitKey.data_key(i, width)
-
-
-# ---------------------------------------------------------------------------
-# Epoch protection (FASTER's LightEpoch)
-# ---------------------------------------------------------------------------
-class TestLightEpoch:
-    def test_register_protect(self):
-        ep = LightEpoch()
-        ep.register(1)
-        assert ep.protect(1) == ep.current
-
-    def test_unregistered_thread_rejected(self):
-        ep = LightEpoch()
-        with pytest.raises(ProtocolError):
-            ep.protect(9)
-
-    def test_drain_waits_for_protected_threads(self):
-        ep = LightEpoch()
-        ep.register(1)
-        ep.register(2)
-        ep.protect(1)
-        ep.protect(2)
-        fired = []
-        ep.bump(lambda: fired.append("a"))
-        assert fired == []          # thread 1 and 2 still in old epoch
-        ep.protect(1)               # refresh to new epoch
-        assert fired == []          # thread 2 still pinning
-        ep.protect(2)
-        assert fired == ["a"]
-
-    def test_drain_fires_immediately_when_unprotected(self):
-        ep = LightEpoch()
-        ep.register(1)
-        fired = []
-        ep.bump(lambda: fired.append("a"))
-        assert fired == ["a"]
-
-    def test_unprotect_releases(self):
-        ep = LightEpoch()
-        ep.register(1)
-        ep.protect(1)
-        fired = []
-        ep.bump(lambda: fired.append("a"))
-        assert fired == []
-        ep.unprotect(1)
-        assert fired == ["a"]
-
-    def test_unregister_while_protected_rejected(self):
-        ep = LightEpoch()
-        ep.register(1)
-        ep.protect(1)
-        with pytest.raises(ProtocolError):
-            ep.unregister(1)
-        ep.unprotect(1)
-        ep.unregister(1)
-        assert ep.pending_drains == 0
-
-    def test_safe_epoch_tracks_minimum(self):
-        ep = LightEpoch()
-        ep.register(1)
-        ep.register(2)
-        ep.protect(1)
-        ep.bump()
-        ep.protect(2)
-        assert ep.safe_epoch == ep._thread_epochs[1] - 1
-
-    def test_multiple_drains_in_order(self):
-        ep = LightEpoch()
-        fired = []
-        ep.bump(lambda: fired.append(1))
-        ep.bump(lambda: fired.append(2))
-        assert fired == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +424,6 @@ class TestAtomicPair:
         rec = LogRecord(dk(1), DataValue(b"a"), 7)
         assert not compare_and_swap_pair(rec, DataValue(b"a"), 8,
                                          DataValue(b"b"), 9)
-
-    def test_injected_contention(self):
-        rec = LogRecord(dk(1), DataValue(b"a"), 0)
-        injector = ContentionInjector(0.999999, seed=1)
-        failures = sum(
-            not compare_and_swap_pair(rec, DataValue(b"a"), 0,
-                                      DataValue(b"a"), 0, injector)
-            for _ in range(20)
-        )
-        assert failures >= 19
-
-    def test_injector_validation(self):
-        with pytest.raises(ValueError):
-            ContentionInjector(1.5)
 
 
 # ---------------------------------------------------------------------------

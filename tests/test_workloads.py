@@ -132,13 +132,6 @@ class TestGenerator:
         assert all(k >= 100 for k in inserted)
         assert len(set(inserted)) == len(inserted)
 
-    def test_key_operations_accounting(self):
-        gen_a = YcsbGenerator(YCSB_A, 100, seed=1)
-        assert gen_a.key_operations(1000) == 1000
-        gen_e = YcsbGenerator(YCSB_E, 100, seed=1)
-        # 95% scans of length 100: ~95x amplification.
-        assert gen_e.key_operations(1000) > 90_000
-
     def test_deterministic_under_seed(self):
         a = list(YcsbGenerator(YCSB_A, 100, seed=5).operations(100))
         b = list(YcsbGenerator(YCSB_A, 100, seed=5).operations(100))
